@@ -17,8 +17,8 @@ from .words import (
 from .graphs import (
     CoreGraph,
     FoldedGraph,
-    SchreierAction,
     SubgroupPresentation,
+    conjugate_power,
     core,
     export_dot,
     export_json,

@@ -19,8 +19,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .graphs import (
     CoreGraph,
     FoldedGraph,
-    SchreierAction,
     SubgroupPresentation,
+    conjugate_power,
     core,
     fold,
     loop_union,
@@ -29,6 +29,8 @@ from .words import (
     Syllable,
     Word,
     free_reduce,
+    json_int_pair,
+    json_value,
     push_syllable,
     syllable_length,
     syllables,
@@ -158,12 +160,10 @@ class IterationStep:
 
     @staticmethod
     def from_json(data: dict) -> "IterationStep":
+        data = json_value(data, dict, "trace step")
         return IterationStep(
-            index=int(data["i"]),
-            power=int(data["k"]),
-            loops_before=int(data["L_before"]),
-            loops_after=int(data["L_after"]),
-            core_vertices=int(data["core_vertices"]),
+            *(json_value(data.get(key), int, key)
+              for key in ("i", "k", "L_before", "L_after", "core_vertices"))
         )
 
 
@@ -195,18 +195,27 @@ class BasisCertificate:
 
     @staticmethod
     def from_json(data: dict) -> "BasisCertificate":
-        rank = int(data["rank"])
-        moves = tuple(ElementaryMove(int(i), int(k)) for i, k in data["moves"])
+        """Decode a certificate, raising ValueError on any malformed field."""
+        data = json_value(data, dict, "certificate")
+        rank = json_value(data.get("rank"), int, "rank")
+
+        def words(key: str) -> tuple[Word, ...]:
+            return tuple(word_from_json(rank, w) for w in json_value(data.get(key), list, key))
+
+        moves = json_value(data.get("moves"), list, "moves")
         return BasisCertificate(
             rank=rank,
-            original_generators=tuple(word_from_json(rank, w) for w in data["original_generators"]),
-            automorphism=Automorphism(rank, moves),
-            transformed_generators=tuple(
-                word_from_json(rank, w) for w in data["transformed_generators"]
+            original_generators=words("original_generators"),
+            automorphism=Automorphism(
+                rank, tuple(ElementaryMove(*json_int_pair(m, "move")) for m in moves)
             ),
-            basis=tuple(word_from_json(rank, w) for w in data["basis"]),
-            power_bound=int(data["m0"]),
-            trace=tuple(IterationStep.from_json(t) for t in data.get("trace", [])),
+            transformed_generators=words("transformed_generators"),
+            basis=words("basis"),
+            power_bound=json_value(data.get("m0"), int, "m0"),
+            trace=tuple(
+                IterationStep.from_json(t)
+                for t in json_value(data.get("trace", []), list, "trace")
+            ),
         )
 
 
@@ -346,17 +355,32 @@ def transformed_syllables(
 
 @dataclass
 class VerificationReport:
-    """Three independent verdicts: (a) the transformed subgroup's core has
-    no single-label cycles; (b) no small conjugate of H contains a small
-    power of a basis word; (c) sampled H-elements respect the power bound."""
+    """Three verdicts, each with its failures: (a) structural: the original
+    generators present H, y_i = psi^-1(x_i), the transformed generators
+    present psi(H) with no single-label cycle, and m0 is their power bound;
+    (b) exactly, for all g and all m >= 1, no g H g^-1 contains y_i^m: the
+    cyclic reduction of y_i, traced from every vertex of fold(p), gives a
+    vertex map without cycles (see verify_certificate).  conjugates_checked
+    counts those vertex traces; a failure (g, i, m) puts y_i^m in g H g^-1
+    with m least; (c) sampled H-elements respect m0."""
 
-    structural_ok: bool
-    conjugate_ok: bool
+    structural_failures: list[str] = field(default_factory=list)
     conjugate_failures: list[tuple[Word, int, int]] = field(default_factory=list)
     conjugates_checked: int = 0
-    subword_ok: bool = True
     subword_failures: list[tuple[Word, Syllable]] = field(default_factory=list)
     samples_checked: int = 0
+
+    @property
+    def structural_ok(self) -> bool:
+        return not self.structural_failures
+
+    @property
+    def conjugate_ok(self) -> bool:
+        return not self.conjugate_failures
+
+    @property
+    def subword_ok(self) -> bool:
+        return not self.subword_failures
 
     @property
     def all_ok(self) -> bool:
@@ -364,7 +388,8 @@ class VerificationReport:
 
     def summary_lines(self) -> list[str]:
         return [
-            f"structural (no single-label cycles): {'PASS' if self.structural_ok else 'FAIL'}",
+            f"structural (basis, generators, m0, no single-label cycles): "
+            f"{'PASS' if self.structural_ok else 'FAIL (' + self.structural_failures[0] + ')'}",
             f"conjugate powers ({self.conjugates_checked} checks): "
             f"{'PASS' if self.conjugate_ok else 'FAIL ' + _fmt_conj(self.conjugate_failures)}",
             f"power bound on {self.samples_checked} samples: "
@@ -383,84 +408,83 @@ def _fmt_sub(failures: list[tuple[Word, Syllable]]) -> str:
     return f"(sample {w} maps to exponent {e} on x{i})"
 
 
-def _reduced_ball(act: SchreierAction, rank: int, radius: int):
-    """All reduced words of length <= radius with their action on the base
-    state, in breadth-first order."""
-    frontier = [((), act.base_state)]
-    yield frontier[0]
-    for _ in range(radius):
-        new = []
-        for letters, state in frontier:
-            last = letters[-1] if letters else 0
-            for i in range(1, rank + 1):
-                for s in (i, -i):
-                    if s == -last:
-                        continue
-                    nxt = act.apply_syllable(state, i, 1 if s > 0 else -1)
-                    item = (letters + (s,), nxt)
-                    yield item
-                    new.append(item)
-        frontier = new
+def _structural_failures(
+    p: SubgroupPresentation, cert: BasisCertificate, h: FoldedGraph, transformed: FoldedGraph
+) -> list[str]:
+    """Recompute every certificate field from p, given h = fold(p) and the
+    fold of the transformed generators.  Equal generator tuples present
+    equal subgroups, so a fold is needed only when the words differ."""
+    psi, rank = cert.automorphism, p.rank
+
+    def differ(gens: tuple[Word, ...], known: tuple[Word, ...], graph: FoldedGraph) -> bool:
+        return gens != known and fold(SubgroupPresentation(rank, gens)) != graph
+
+    inv = psi.inverse()
+    checks = [
+        (differ(cert.original_generators, p.generators, h),
+         "original generators do not present H"),
+        (cert.basis != tuple(inv.apply(Word.generator(rank, i)) for i in range(1, rank + 1)),
+         "basis is not psi^-1(x_1), ..., psi^-1(x_n)"),
+        (differ(tuple(psi.apply(w) for w in p.generators), cert.transformed_generators,
+                transformed),
+         "transformed generators do not present psi(H)"),
+    ]
+    failures = [message for failed, message in checks if failed]
+    try:
+        m0 = compute_power_bound(transformed)
+    except UnboundedRunError as exc:
+        return failures + [str(exc)]
+    if cert.power_bound != m0:
+        failures.append(f"m0 is {cert.power_bound}, the power bound is {m0}")
+    return failures
 
 
 def verify_certificate(
     p: SubgroupPresentation,
     cert: BasisCertificate,
-    g_bound: int = 4,
-    power_bound: int = 6,
     sample_count: int = 1000,
     rng: Optional[random.Random] = None,
 ) -> VerificationReport:
-    """Check a certificate against the original presentation.
+    """Check a certificate against the original presentation p; see
+    VerificationReport for the three verdicts.
 
-    (b) sweeps every reduced conjugator g with |g| <= g_bound and every
-    basis power y_i^m, 1 <= m <= power_bound, testing membership of
-    g^-1 y_i^m g in H.  Membership is evaluated through the free-group
-    action on the completed Schreier graph, which agrees with tracing the
-    reduced word but composes segment by segment.
+    The conjugate-power verdict is exact.  Write y_i = u w u^-1 with w
+    cyclically reduced; y_i^m lies in a conjugate of H exactly when w^m
+    does.  A cyclically reduced word lies in a conjugate of H exactly when
+    it reads a closed path at some vertex of fold(p) (Stallings, *Topology
+    of finite graphs*, 1983; Kapovich-Myasnikov, *Stallings foldings and
+    subgroups of free groups*, 2002).  Reading w from every vertex gives a
+    partial injection f, and w^m reads a closed path at v exactly when
+    f^m(v) = v; so some power of y_i lies in a conjugate of H exactly when
+    f has a cycle.  A cycle of length m through v, with tree path q from
+    the basepoint to v, puts y_i^m in g H g^-1 for g = u q^-1.  A trivial
+    y_i fails with g = 1 and m = 1.  The decision is conjugate_power.
     """
-    if g_bound < 1 or power_bound < 1:
-        raise ValueError("bounds must be positive")
+    if cert.rank != p.rank:
+        raise ValueError(f"certificate rank {cert.rank} != presentation rank {p.rank}")
     rng = rng if rng is not None else random.Random(0)
 
-    transformed_graph = fold(SubgroupPresentation(cert.rank, cert.transformed_generators))
-    structural_ok = not loop_union(core(transformed_graph))
+    h = fold(p)
+    transformed = fold(SubgroupPresentation(cert.rank, cert.transformed_generators))
+    structural_failures = _structural_failures(p, cert, h, transformed)
 
-    act = SchreierAction(fold(p))
-    base = act.base_state
-    y_sylls = [syllables(y) for y in cert.basis]
-    y_maps: list[dict] = [dict() for _ in cert.basis]
     conjugate_failures: list[tuple[Word, int, int]] = []
     checked = 0
-    for letters, state in _reduced_ball(act, p.rank, g_bound):
-        g_word = ~free_reduce(p.rank, letters)  # enumerated words are g^-1
-        inv_sylls = syllables(g_word)
-        for bi in range(cert.rank):
-            if not y_sylls[bi]:
-                # a trivial basis word lies in every conjugate
-                conjugate_failures.append((g_word, bi + 1, 1))
-                checked += power_bound
-                continue
-            memo = y_maps[bi]
-            s = state
-            for m in range(1, power_bound + 1):
-                nxt = memo.get(s)
-                if nxt is None:
-                    nxt = act.apply(s, y_sylls[bi])
-                    memo[s] = nxt
-                s = nxt
-                checked += 1
-                if act.apply(s, inv_sylls) == base:
-                    conjugate_failures.append((g_word, bi + 1, m))
+    for i, y in enumerate(cert.basis, start=1):
+        if y:
+            checked += h.num_vertices
+        hit = conjugate_power(h, y)
+        if hit is not None:
+            conjugate_failures.append((hit[0], i, hit[1]))
 
-    samples: list[Word] = list(cert.original_generators)
-    gens = cert.original_generators
+    samples: list[Word] = list(p.generators)
+    gens = p.generators
     if gens:
         for _ in range(sample_count):
             w = Word.identity(p.rank)
             for _ in range(rng.randint(1, 10)):
-                h = gens[rng.randrange(len(gens))]
-                w = w * (h if rng.random() < 0.5 else ~h)
+                g = gens[rng.randrange(len(gens))]
+                w = w * (g if rng.random() < 0.5 else ~g)
             samples.append(w)
     subword_failures: list[tuple[Word, Syllable]] = []
     for w in samples:
@@ -470,11 +494,9 @@ def verify_certificate(
                 break
 
     return VerificationReport(
-        structural_ok=structural_ok,
-        conjugate_ok=not conjugate_failures,
+        structural_failures=structural_failures,
         conjugate_failures=conjugate_failures,
         conjugates_checked=checked,
-        subword_ok=not subword_failures,
         subword_failures=subword_failures,
         samples_checked=len(samples),
     )

@@ -13,7 +13,14 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .words import Syllable, Word, free_reduce, syllables, word_from_json, word_to_json
+from .words import (
+    Word,
+    cyclically_reduce,
+    free_reduce,
+    json_value,
+    word_from_json,
+    word_to_json,
+)
 
 _SENTINEL = -1
 
@@ -44,9 +51,10 @@ class SubgroupPresentation:
 
     @staticmethod
     def from_json(data: dict) -> "SubgroupPresentation":
-        rank = int(data["rank"])
-        gens = tuple(word_from_json(rank, g) for g in data.get("generators", []))
-        return SubgroupPresentation(rank, gens)
+        data = json_value(data, dict, "presentation")
+        rank = json_value(data.get("rank"), int, "rank")
+        gens = json_value(data.get("generators", []), list, "generators")
+        return SubgroupPresentation(rank, tuple(word_from_json(rank, g) for g in gens))
 
 
 class FoldedGraph:
@@ -417,30 +425,66 @@ def loop_union(c: CoreGraph) -> frozenset[int]:
 # --- spanning-tree generators ----------------------------------------------
 
 
-def generators_from_graph(g: FoldedGraph) -> list[Word]:
-    """Free generators of the encoded subgroup: one word per edge off a
-    breadth-first spanning tree (tree path in, edge, tree path out)."""
+def spanning_paths(g: FoldedGraph) -> dict[int, tuple[int, ...]]:
+    """The letters of the path from the basepoint to each vertex along the
+    breadth-first spanning tree (exploring x_1, x_1^-1, x_2, ... in order).
+    Tree paths are geodesics, so their letters are freely reduced."""
     path: dict[int, tuple[int, ...]] = {g.basepoint: ()}
     queue = deque([g.basepoint])
-    tree: set[tuple[int, int, int]] = set()
     while queue:
         v = queue.popleft()
         for letter in _letter_order(g.rank):
             u = g.step(v, letter)
-            if u is None or u in path:
-                continue
-            path[u] = path[v] + (letter,)
-            tree.add((v, abs(letter), u) if letter > 0 else (u, abs(letter), v))
-            queue.append(u)
+            if u is not None and u not in path:
+                path[u] = path[v] + (letter,)
+                queue.append(u)
+    return path
+
+
+def generators_from_graph(g: FoldedGraph) -> list[Word]:
+    """Free generators of the encoded subgroup: one word per edge off a
+    breadth-first spanning tree (tree path in, edge, tree path out).  The
+    word of a tree edge reduces to the identity and is skipped."""
+    path = spanning_paths(g)
     gens = []
     for v, i, u in g.edges():
-        if (v, i, u) in tree:
-            continue
-        letters = path[v] + (i,) + tuple(-s for s in reversed(path[u]))
-        w = free_reduce(g.rank, letters)
+        w = free_reduce(g.rank, path[v] + (i,) + tuple(-s for s in reversed(path[u])))
         if not w.is_identity():
             gens.append(w)
     return gens
+
+
+# --- powers in conjugates ----------------------------------------------------
+
+
+def conjugate_power(g: FoldedGraph, y: Word) -> Optional[tuple[Word, int]]:
+    """(c, m) with y^m in c H c^-1 for the least m >= 1, H the subgroup g
+    encodes, or None when no power of y lies in a conjugate of H.
+
+    With y = u w u^-1 and w cyclically reduced, reading w from each vertex
+    gives a partial injection f (g is folded).  w^m reads a closed path at
+    v, i.e. lies in a conjugate of H (Stallings 1983; Kapovich-Myasnikov
+    2002), exactly when f^m(v) = v.  So m is the shortest cycle length of
+    f, and for its first vertex v, with tree path q, c = u q^-1.
+    """
+    if y.is_identity():
+        return Word.identity(g.rank), 1
+    w, u = cyclically_reduce(y)
+    f = {v: g.trace(v, w.letters) for v in range(g.num_vertices)}
+    cycles = []  # (length, first vertex); f is injective, so walks close at their start
+    seen: set[int] = set()
+    for v in range(g.num_vertices):
+        length, x = 0, v
+        while f[x] is not None and x not in seen:
+            seen.add(x)
+            x = f[x]
+            length += 1
+        if x == v and length:
+            cycles.append((length, v))
+    if not cycles:
+        return None
+    m, v = min(cycles)
+    return u * ~Word(g.rank, spanning_paths(g)[v]), m
 
 
 # --- exports -----------------------------------------------------------------
@@ -501,85 +545,3 @@ def export_dot(g: FoldedGraph) -> str:
 
 def export_json(g: FoldedGraph) -> str:
     return json.dumps(graph_to_json(g), indent=2, sort_keys=True) + "\n"
-
-
-# --- free-group action on the completed Schreier graph ----------------------
-
-
-State = tuple[int, tuple[tuple[int, int], ...]]
-
-
-class SchreierAction:
-    """Exact free-group action on the full Schreier graph of the subgroup.
-
-    The folded graph completes to the (usually infinite) Schreier graph by
-    growing a tree at every missing edge slot.  A state is (vertex, sigma)
-    where sigma is the run-length-encoded reduced path of an excursion
-    into such a tree (empty when standing on a graph vertex).  Every
-    letter acts bijectively, so applying any spelling of a group element
-    gives the element's action; the stabiliser of the base state is
-    exactly the subgroup.  Long runs are shortcut with cycle detection,
-    making powers cheap.
-    """
-
-    def __init__(self, graph: FoldedGraph):
-        self.graph = graph
-        self.base_state: State = (graph.basepoint, ())
-
-    def _walk(self, v: int, letter: int, count: int) -> tuple[int, int]:
-        """Follow `letter` up to `count` times inside the graph; return
-        (vertex reached, steps NOT taken)."""
-        step = self.graph.step
-        seen = {v: 0}
-        path = [v]
-        for t in range(1, count + 1):
-            nxt = step(v, letter)
-            if nxt is None:
-                return v, count - (t - 1)
-            v = nxt
-            if v in seen:
-                period = t - seen[v]
-                rem = (count - t) % period
-                return path[seen[v] + rem], 0
-            seen[v] = t
-            path.append(v)
-        return v, 0
-
-    def apply_syllable(self, state: State, index: int, exponent: int) -> State:
-        v, sigma_t = state
-        sigma = list(sigma_t)
-        letter = index if exponent > 0 else -index
-        count = abs(exponent)
-        while count:
-            if sigma:
-                top_letter, top_count = sigma[-1]
-                if top_letter == -letter:
-                    c = min(top_count, count)
-                    count -= c
-                    if top_count - c:
-                        sigma[-1] = (top_letter, top_count - c)
-                    else:
-                        sigma.pop()
-                elif top_letter == letter:
-                    sigma[-1] = (letter, top_count + count)
-                    count = 0
-                else:
-                    sigma.append((letter, count))
-                    count = 0
-            else:
-                v, remaining = self._walk(v, letter, count)
-                if remaining:
-                    sigma.append((letter, remaining))
-                count = 0
-        return (v, tuple(sigma))
-
-    def apply(self, state: State, sylls: Iterable[Syllable]) -> State:
-        for i, e in sylls:
-            state = self.apply_syllable(state, i, e)
-        return state
-
-    def apply_word(self, state: State, w: Word) -> State:
-        return self.apply(state, syllables(w))
-
-    def stabilizes_base(self, sylls: Iterable[Syllable]) -> bool:
-        return self.apply(self.base_state, sylls) == self.base_state

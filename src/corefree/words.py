@@ -216,12 +216,26 @@ def word_to_json(w: Word) -> list[list[int]]:
 
 
 def word_from_json(rank: int, data: list) -> Word:
-    sylls = []
-    for pair in data:
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-            raise ValueError(f"bad syllable pair {pair!r}")
-        sylls.append((int(pair[0]), int(pair[1])))
+    sylls = [json_int_pair(pair, "syllable") for pair in json_value(data, list, "word")]
     return word_from_syllables(rank, sylls)
+
+
+_JSON_KINDS = {dict: "an object", list: "an array", int: "an integer"}
+
+
+def json_value(value, kind: type, what: str):
+    """Return a decoded JSON value if it has the given kind (dict, list or
+    int; booleans are not integers), else raise ValueError naming it."""
+    if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
+        return value
+    raise ValueError(f"{what} must be {_JSON_KINDS[kind]}, got {value!r:.40}")
+
+
+def json_int_pair(value, what: str) -> tuple[int, int]:
+    """A decoded two-element array of integers, as a tuple."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise ValueError(f"{what} must be a pair, got {value!r:.40}")
+    return json_value(value[0], int, what), json_value(value[1], int, what)
 
 
 # --- syllable-sequence algebra -------------------------------------------

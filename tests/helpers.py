@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Iterable
 
-from corefree import SubgroupPresentation, Word, free_reduce
+from corefree import FoldedGraph, SubgroupPresentation, Word, free_reduce, syllables
+from corefree.words import Syllable
 
 
 def dense_defect(f, window=None) -> tuple[Fraction, tuple[int, int]]:
@@ -142,3 +144,130 @@ class PermutationInstance:
                 if not w.is_identity():
                     gens.append(w)
         return SubgroupPresentation(self.rank, tuple(gens))
+
+
+# --- free-group action on the completed Schreier graph ----------------------
+
+
+State = tuple[int, tuple[tuple[int, int], ...]]
+
+
+class SchreierAction:
+    """Exact free-group action on the full Schreier graph of the subgroup.
+
+    The folded graph completes to the (usually infinite) Schreier graph by
+    growing a tree at every missing edge slot.  A state is (vertex, sigma)
+    where sigma is the run-length-encoded reduced path of an excursion
+    into such a tree (empty when standing on a graph vertex).  Every
+    letter acts bijectively, so applying any spelling of a group element
+    gives the element's action; the stabiliser of the base state is
+    exactly the subgroup.  Long runs are shortcut with cycle detection,
+    making powers cheap.
+    """
+
+    def __init__(self, graph: FoldedGraph):
+        self.graph = graph
+        self.base_state: State = (graph.basepoint, ())
+
+    def _walk(self, v: int, letter: int, count: int) -> tuple[int, int]:
+        """Follow `letter` up to `count` times inside the graph; return
+        (vertex reached, steps NOT taken)."""
+        step = self.graph.step
+        seen = {v: 0}
+        path = [v]
+        for t in range(1, count + 1):
+            nxt = step(v, letter)
+            if nxt is None:
+                return v, count - (t - 1)
+            v = nxt
+            if v in seen:
+                period = t - seen[v]
+                rem = (count - t) % period
+                return path[seen[v] + rem], 0
+            seen[v] = t
+            path.append(v)
+        return v, 0
+
+    def apply_syllable(self, state: State, index: int, exponent: int) -> State:
+        v, sigma_t = state
+        sigma = list(sigma_t)
+        letter = index if exponent > 0 else -index
+        count = abs(exponent)
+        while count:
+            if sigma:
+                top_letter, top_count = sigma[-1]
+                if top_letter == -letter:
+                    c = min(top_count, count)
+                    count -= c
+                    if top_count - c:
+                        sigma[-1] = (top_letter, top_count - c)
+                    else:
+                        sigma.pop()
+                elif top_letter == letter:
+                    sigma[-1] = (letter, top_count + count)
+                    count = 0
+                else:
+                    sigma.append((letter, count))
+                    count = 0
+            else:
+                v, remaining = self._walk(v, letter, count)
+                if remaining:
+                    sigma.append((letter, remaining))
+                count = 0
+        return (v, tuple(sigma))
+
+    def apply(self, state: State, sylls: Iterable[Syllable]) -> State:
+        for i, e in sylls:
+            state = self.apply_syllable(state, i, e)
+        return state
+
+    def stabilizes_base(self, sylls: Iterable[Syllable]) -> bool:
+        return self.apply(self.base_state, sylls) == self.base_state
+
+
+def reduced_ball(act: SchreierAction, rank: int, radius: int):
+    """All reduced words of length <= radius, as letter tuples, with their
+    action on the base state, in breadth-first order."""
+    frontier = [((), act.base_state)]
+    yield frontier[0]
+    for _ in range(radius):
+        new = []
+        for letters, state in frontier:
+            last = letters[-1] if letters else 0
+            for i in range(1, rank + 1):
+                for s in (i, -i):
+                    if s == -last:
+                        continue
+                    nxt = act.apply_syllable(state, i, 1 if s > 0 else -1)
+                    item = (letters + (s,), nxt)
+                    yield item
+                    new.append(item)
+        frontier = new
+
+
+def conjugate_power_sweep(
+    graph: FoldedGraph, words: Iterable[Word], g_bound: int = 4, power_bound: int = 6
+) -> list[tuple[Word, int, int]]:
+    """Brute force: every (g, i, m) with |g| <= g_bound, 1 <= m <= power_bound
+    and g^-1 y_i^m g in H, y_i being the i-th of `words`.
+
+    The ball enumerates g^-1 with its state s0 = base.g^-1.  The action is
+    a bijection and g maps s0 back to the base state, so g^-1 y^m g fixes
+    the base state exactly when y^m fixes s0.
+    """
+    act = SchreierAction(graph)
+    y_sylls = [syllables(y) for y in words]
+    memos: list[dict] = [dict() for _ in y_sylls]
+    hits = []
+    for letters, state in reduced_ball(act, graph.rank, g_bound):
+        g_word = ~free_reduce(graph.rank, letters)
+        for i, (sylls, memo) in enumerate(zip(y_sylls, memos), start=1):
+            s = state
+            for m in range(1, power_bound + 1):
+                nxt = memo.get(s)
+                if nxt is None:
+                    nxt = memo[s] = act.apply(s, sylls)
+                s = nxt
+                if s == state:
+                    hits.append((g_word, i, m))
+    return hits

@@ -292,16 +292,18 @@ def test_transformed_syllables_match_letter_route():
 def test_verify_certificate_passes_honest_cert():
     p = pres(2, "x1")
     cert = find_power_free_basis(p)
-    report = verify_certificate(p, cert, g_bound=4, power_bound=6, sample_count=200)
+    report = verify_certificate(p, cert, sample_count=200)
     assert report.all_ok
-    assert report.conjugates_checked > 0
+    # one trace per vertex of fold(p) and basis word
+    assert report.conjugates_checked == 2 * fold(p).num_vertices
 
 
 def test_verify_detects_corrupted_basis_word():
     p = pres(2, "x1")
     cert = find_power_free_basis(p)
     bad = replace(cert, basis=(parse_word("x1", 2), cert.basis[1]))
-    report = verify_certificate(p, bad, g_bound=4, power_bound=6, sample_count=50)
+    report = verify_certificate(p, bad, sample_count=50)
+    assert not report.structural_ok
     assert not report.conjugate_ok
     g, i, m = report.conjugate_failures[0]
     assert g.is_identity() and i == 1 and m == 1
@@ -312,7 +314,8 @@ def test_verify_detects_understated_power_bound():
     cert = find_power_free_basis(p)
     assert cert.power_bound == 3
     bad = replace(cert, power_bound=2)
-    report = verify_certificate(p, bad, g_bound=3, power_bound=4, sample_count=50)
+    report = verify_certificate(p, bad, sample_count=50)
+    assert report.structural_failures == ["m0 is 2, the power bound is 3"]
     assert not report.subword_ok
     w, (i, e) = report.subword_failures[0]
     assert w == parse_word("x1 x2^-2", 2) and (i, abs(e)) == (2, 2)
@@ -323,7 +326,7 @@ def test_verify_spot_checked_against_plain_membership():
     p = pres(2, "x1^3")
     cert = find_power_free_basis(p)
     g = fold(p)
-    report = verify_certificate(p, cert, g_bound=3, power_bound=4, sample_count=20)
+    report = verify_certificate(p, cert, sample_count=20)
     assert report.all_ok
     # no conjugate of H may contain a basis power: recheck via plain traces
     for _ in range(100):
@@ -331,6 +334,19 @@ def test_verify_spot_checked_against_plain_membership():
         y = cert.basis[rng.randrange(2)]
         m = rng.randint(1, 4)
         assert not g.membership(~u * y**m * u)
+
+
+def test_verify_checks_original_generators():
+    p = pres(2, "x1 x2^-2")
+    cert = find_power_free_basis(p)
+    # another generating set of the same subgroup is accepted
+    same = replace(cert, original_generators=(parse_word("x2^2 x1^-1", 2),))
+    assert verify_certificate(p, same, sample_count=10).all_ok
+    other = replace(cert, original_generators=(parse_word("x1 x2^-3", 2),))
+    report = verify_certificate(p, other, sample_count=10)
+    assert report.structural_failures == ["original generators do not present H"]
+    with pytest.raises(ValueError):
+        verify_certificate(pres(3, "x1"), cert)
 
 
 def test_certificate_json_round_trip():

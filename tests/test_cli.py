@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import corefree
 from corefree.cli import main
 
 
@@ -93,12 +96,57 @@ def test_verify_tampered_certificate(tmp_path, capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize(
+    "forge, reason",
+    [
+        # words that are not psi^-1(x_i)
+        (lambda d: d.update(basis=[[[1, 2], [2, 1], [1, 1]], [[2, 1], [1, 2], [2, 2]]]),
+         "basis is not psi^-1"),
+        (lambda d: d.update(transformed_generators=[]),
+         "transformed generators do not present psi(H)"),
+        (lambda d: d.update(m0=d["m0"] + 5), "m0 is 13, the power bound is 8"),
+    ],
+    ids=["basis", "transformed-generators", "m0"],
+)
+def test_verify_rejects_forged_certificate(tmp_path, capsys, forge, reason):
+    cert_file = tmp_path / "cert.json"
+    code, _, _ = run(capsys, "find-basis", "--gens", "x1 x2 x1^-1 x2, x2^3",
+                     "--out", str(cert_file))
+    assert code == 0
+    data = json.loads(cert_file.read_text())
+    forge(data)
+    cert_file.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "verify", "--cert", str(cert_file), "--samples", "50")
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 5
+    assert lines[0].startswith("structural") and "FAIL" in lines[0] and reason in lines[0]
+
+
 def test_verify_usage_error(tmp_path, capsys):
     cert_file = tmp_path / "cert.json"
     run(capsys, "find-basis", "--gens", "x1", "--out", str(cert_file))
-    code, _, err = run(capsys, "verify", "--cert", str(cert_file), "--g-bound", "0")
-    assert code == 2
-    assert json.loads(err.strip())["error"] == "Usage"
+    data = json.loads(cert_file.read_text())
+    malformed = [
+        dict(data, m0=None),
+        [data],
+        dict(data, m0=2.5),
+        dict(data, basis=None),
+        dict(data, moves=[[3, -2]]),  # no generator x3 in rank 2
+        dict(data, moves=[[2]]),
+        dict(data, trace=[{"i": 2}]),
+    ]
+    for bad in malformed:
+        cert_file.write_text(json.dumps(bad))
+        code, out, err = run(capsys, "verify", "--cert", str(cert_file))
+        assert code == 2 and out == ""
+        assert json.loads(err.strip())["error"] == "Usage"
+    bad_presentation = tmp_path / "p.json"
+    for bad in (7, {"rank": 2, "generators": [[[1, None]]]}):
+        bad_presentation.write_text(json.dumps(bad))
+        code, _, err = run(capsys, "fold", "--in", str(bad_presentation))
+        assert code == 2
+        assert json.loads(err.strip())["error"] == "Usage"
 
 
 def test_parse_error_reports_position(capsys):
@@ -171,10 +219,14 @@ def test_missing_input_is_usage_error(capsys):
 
 
 def test_module_entry_point():
+    # the subprocess imports the same corefree as this test process
+    src = str(Path(corefree.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "corefree", "fold", "--gens", "x1 x2"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert "vertices: 2" in proc.stdout

@@ -1,12 +1,13 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from corefree import (
-    SchreierAction,
     SubgroupPresentation,
     Word,
+    conjugate_power,
     core,
     export_dot,
     fold,
@@ -17,9 +18,20 @@ from corefree import (
     parse_word,
     syllables,
 )
-from corefree.sampling import random_presentation, random_reduced_word, InstanceSpec
+from corefree.sampling import (
+    InstanceSpec,
+    random_presentation,
+    random_reduced_word,
+    random_subgroup_element,
+)
 
-from helpers import PermutationInstance, naive_core_vertices, subgroup_products
+from helpers import (
+    PermutationInstance,
+    SchreierAction,
+    conjugate_power_sweep,
+    naive_core_vertices,
+    subgroup_products,
+)
 
 
 def pres(rank, *texts):
@@ -328,6 +340,60 @@ def test_action_excursion_depth_bookkeeping():
     assert deep[1]  # in a hanging tree
     back = act.apply(deep, [(2, -5)])
     assert back == act.base_state
+
+
+# --- powers in conjugates -----------------------------------------------------
+
+
+def test_conjugate_power_examples():
+    w = lambda text: parse_word(text, 2)
+    one = Word.identity(2)
+    assert conjugate_power(fold(pres(2, "x1")), w("x1")) == (one, 1)
+    assert conjugate_power(fold(pres(2, "x1")), w("x2 x1^-2 x2^-1")) == (w("x2"), 1)
+    assert conjugate_power(fold(pres(2, "x1^2")), w("x1")) == (one, 2)
+    # the least power wins: x1^4 lies in x2^-1 H x2, before x1^6 in H
+    assert conjugate_power(fold(pres(2, "x1^6", "x2 x1^4 x2^-1")), w("x1")) == (w("x2^-1"), 4)
+    # x2 x1 is a cyclic permutation of x1 x2, read from vertex 1 = x1
+    assert conjugate_power(fold(pres(2, "x1 x2")), w("x2 x1")) == (w("x1^-1"), 1)
+    assert conjugate_power(fold(pres(2, "x1 x2")), w("x2")) is None
+    assert conjugate_power(fold(pres(2, "x1 x2")), one) == (one, 1)
+    assert conjugate_power(fold(SubgroupPresentation(2, ())), w("x1")) is None
+
+
+def test_conjugate_power_agrees_with_sweep():
+    """The exact decision against the brute-force sweep over |g| <= 4 and
+    m <= 6, on random candidate words, conjugated subgroup elements and
+    conjugated roots of powers in H: every sweep hit is detected with a
+    power no larger, every reported witness is real, and a witness in the
+    sweep's range is one of its hits."""
+    rng = random.Random(24)
+    kinds = Counter()
+    for t in range(150):
+        rank = 2 if t % 2 == 0 else 3
+        p = random_presentation(rng, InstanceSpec(rank, rng.randint(1, 3), 5))
+        conj = random_reduced_word(rng, rank, rng.randint(0, 3))
+        kind = t % 3
+        if kind == 0:
+            y = random_reduced_word(rng, rank, rng.randint(0, 6))
+        elif kind == 1:
+            y = conj * random_subgroup_element(rng, p, 3) * ~conj
+        else:
+            root = random_reduced_word(rng, rank, rng.randint(1, 3))
+            extra = root ** rng.randint(2, 4)
+            p = SubgroupPresentation(rank, p.generators + (~conj * extra * conj,))
+            y = root
+        g = fold(p)
+        exact = conjugate_power(g, y)
+        sweep = conjugate_power_sweep(g, [y])
+        if sweep:
+            kinds[kind] += 1
+            assert exact is not None and exact[1] <= min(m for _, _, m in sweep)
+        if exact is not None:
+            c, m = exact
+            assert g.membership(~c * y**m * c)
+            if len(c) <= 4 and m <= 6:
+                assert (c, 1, m) in sweep
+    assert kinds[0] and kinds[1] >= 40 and kinds[2] >= 40
 
 
 def test_loop_union():
