@@ -21,13 +21,11 @@ from .graphs import (
     conjugate_power,
     core,
     export_dot,
-    export_json,
     fold,
     generators_from_graph,
     graph_from_json,
     graph_to_json,
     loop_union,
-    membership,
 )
 from .basis import (
     Automorphism,
@@ -43,7 +41,6 @@ from .basis import (
     compute_k,
     compute_power_bound,
     find_power_free_basis,
-    to_transformed_coordinates,
     transformed_syllables,
     verify_certificate,
 )
@@ -59,11 +56,9 @@ from .qm import (
     counting_qm,
     defect_z,
     embed_support,
-    eval_split,
     make_relative_qm,
     nontriviality_witness,
     sample_defect,
-    split_defect,
 )
 from .sampling import (
     InstanceSpec,

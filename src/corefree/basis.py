@@ -28,7 +28,6 @@ from .graphs import (
 from .words import (
     Syllable,
     Word,
-    free_reduce,
     json_int_pair,
     json_value,
     push_syllable,
@@ -76,36 +75,27 @@ class ElementaryMove:
 
 
 def apply_move(w: Word, move: ElementaryMove) -> Word:
-    """Letter-level substitution followed by free reduction."""
-    i, k = move.index, move.power
-    tail = [i] * k if k > 0 else [-i] * (-k)  # x_i^k
-    head = [-s for s in reversed(tail)]  # x_i^-k
-    out: list[int] = []
-    for s in w.letters:
-        if abs(s) == i:
-            out.append(s)
-        elif s > 0:
-            out.append(s)
-            out.extend(tail)
-        else:
-            out.extend(head)
-            out.append(s)
-    return free_reduce(w.rank, out)
+    """The image of w under the move, reduced."""
+    return word_from_syllables(w.rank, _move_on_syllables(syllables(w), move.index, move.power))
 
 
 def _move_on_syllables(sylls: Iterable[Syllable], index: int, k: int) -> list[Syllable]:
+    """Image of a reduced syllable sequence under x_j -> x_j x_index^k
+    (j != index), reduced.  Only the first two syllables of a syllable's
+    image can merge with what precedes them; the rest alternate x_j and
+    x_index, as in the letter-level image."""
     out: list[Syllable] = []
     for j, e in sylls:
         if j == index:
             push_syllable(out, (j, e))
         elif e > 0:
-            for _ in range(e):
-                push_syllable(out, (j, 1))
-                push_syllable(out, (index, k))
+            push_syllable(out, (j, 1))
+            push_syllable(out, (index, k))
+            out.extend(((j, 1), (index, k)) * (e - 1))
         else:
-            for _ in range(-e):
-                push_syllable(out, (index, -k))
-                push_syllable(out, (j, -1))
+            push_syllable(out, (index, -k))
+            push_syllable(out, (j, -1))
+            out.extend(((index, -k), (j, -1)) * (-e - 1))
     return out
 
 
@@ -115,6 +105,11 @@ class Automorphism:
 
     rank: int
     moves: tuple[ElementaryMove, ...] = ()
+
+    def __post_init__(self):
+        for m in self.moves:
+            if m.index > self.rank:
+                raise ValueError(f"move index {m.index} exceeds rank {self.rank}")
 
     def inverse(self) -> "Automorphism":
         return Automorphism(self.rank, tuple(m.inverse() for m in reversed(self.moves)))
@@ -133,9 +128,6 @@ class Automorphism:
 
     def apply(self, w: Word, max_letters: int = DEFAULT_LENGTH_CAP) -> Word:
         return word_from_syllables(w.rank, self.apply_syllables(syllables(w), max_letters))
-
-    def __call__(self, w: Word) -> Word:
-        return self.apply(w)
 
 
 @dataclass
@@ -203,6 +195,9 @@ class BasisCertificate:
             return tuple(word_from_json(rank, w) for w in json_value(data.get(key), list, key))
 
         moves = json_value(data.get("moves"), list, "moves")
+        m0 = json_value(data.get("m0"), int, "m0")
+        if m0 < 1:
+            raise ValueError(f"m0 must be positive, got {m0}")
         return BasisCertificate(
             rank=rank,
             original_generators=words("original_generators"),
@@ -211,7 +206,7 @@ class BasisCertificate:
             ),
             transformed_generators=words("transformed_generators"),
             basis=words("basis"),
-            power_bound=json_value(data.get("m0"), int, "m0"),
+            power_bound=m0,
             trace=tuple(
                 IterationStep.from_json(t)
                 for t in json_value(data.get("trace", []), list, "trace")
@@ -300,12 +295,14 @@ def find_power_free_basis(
         i = choose_index(loop_sets)
         k = compute_k(c, i)
         move = ElementaryMove(i, -k)
-        gens = [apply_move(w, move) for w in gens]
-        total = sum(len(w) for w in gens)
+        # measured before expanding: one move can multiply the letter count by k
+        images = [_move_on_syllables(syllables(w), i, -k) for w in gens]
+        total = sum(syllable_length(s) for s in images)
         if total > max_total_length:
             raise WordBlowupError(
                 f"generators reached {total} letters (cap {max_total_length})"
             )
+        gens = [word_from_syllables(p.rank, s) for s in images]
         moves.append(move)
         trace.append(
             IterationStep(
@@ -334,19 +331,11 @@ def find_power_free_basis(
     )
 
 
-def to_transformed_coordinates(
-    cert: BasisCertificate, w: Word, max_letters: int = DEFAULT_LENGTH_CAP
-) -> Word:
-    """psi(w): the expression of w with respect to the new basis, read as
-    an ordinary word (substituting y_i for x_i in the result recovers w)."""
-    return cert.automorphism.apply(w, max_letters=max_letters)
-
-
 def transformed_syllables(
     cert: BasisCertificate, w: Word, max_letters: int = DEFAULT_LENGTH_CAP
 ) -> list[Syllable]:
-    """Syllable form of psi(w) computed without expanding to letters;
-    equal to syllables(to_transformed_coordinates(cert, w))."""
+    """Syllable form of psi(w), the expression of w in the new basis,
+    computed without expanding to letters."""
     return cert.automorphism.apply_syllables(syllables(w), max_letters=max_letters)
 
 

@@ -40,6 +40,7 @@ from .qm import (
     SplitQuasimorphism,
     check_vanishing,
     defect_z,
+    factors_from_json,
     make_relative_qm,
     nontriviality_witness,
 )
@@ -92,29 +93,34 @@ def _presentation_from_args(args) -> SubgroupPresentation:
     texts = [t for t in args.gens.split(",")]
     rank = args.rank
     if rank is None:
-        rank = 2
-        for t in texts:
-            w = parse_word(t, 26)
-            rank = max(rank, max((abs(s) for s in w.letters), default=2))
+        rank = max([2] + [parse_word(t, None).rank for t in texts])
     gens = tuple(parse_word(t, rank) for t in texts if t.strip())
     return SubgroupPresentation(rank, gens)
 
 
-def _graph_output(args, g: FoldedGraph) -> None:
+def _graph_output(args, rank: int, g: Optional[FoldedGraph], summary: bool = True) -> None:
+    """Write g as DOT (--dot), JSON (--json) or else, if summary, as a text
+    summary.  g None is an empty core, which prints as JSON unless --dot."""
     if args.dot:
-        _write(export_dot(g), args.out)
-    elif args.json:
-        _write(_dump(graph_to_json(g)), args.out)
+        text = export_dot(g) if g is not None else "digraph corefree {\n}\n"
+    elif g is None:
+        text = _dump({"rank": rank, "basepoint": None, "vertices": 0, "edges": []})
+    elif args.json or not summary:
+        text = _dump(graph_to_json(g))
     else:
-        c = core(g)
         idx = g.index()
-        lines = [
+        text = "\n".join([
             f"vertices: {g.num_vertices}",
             f"edges: {g.num_edges()}",
-            f"rank: {c.rank_of_subgroup()}",
+            f"rank: {core(g).rank_of_subgroup()}",
             f"index: {idx if idx is not None else 'infinite'}",
-        ]
-        _write("\n".join(lines) + "\n", args.out)
+        ]) + "\n"
+    _write(text, args.out)
+
+
+def _core_graph(g: FoldedGraph) -> Optional[FoldedGraph]:
+    c = core(g)
+    return c.as_folded_graph() if c.vertices else None
 
 
 def _add_input_flags(sp) -> None:
@@ -196,28 +202,22 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _factors_from_file(path: str, rank: Optional[int] = None) -> list[AlternatingFunction]:
-    data = _load_json(path)
-    factors = [AlternatingFunction.from_json(f) for f in data["factors"]]
-    if rank is not None and len(factors) != rank:
+def _factors_from_file(path: str, rank: int) -> list[AlternatingFunction]:
+    factors = factors_from_json(_load_json(path))
+    if len(factors) != rank:
         raise ValueError(f"need {rank} factors, file has {len(factors)}")
     return factors
 
 
 def _cmd_fold(args) -> int:
-    _graph_output(args, fold(_presentation_from_args(args)))
+    g = fold(_presentation_from_args(args))
+    _graph_output(args, g.rank, g)
     return EXIT_OK
 
 
 def _cmd_core(args) -> int:
-    c = core(fold(_presentation_from_args(args)))
-    if not c.vertices:
-        if args.dot:
-            _write("digraph corefree {\n}\n", args.out)
-        else:
-            _write(_dump({"rank": c.rank, "basepoint": None, "vertices": 0, "edges": []}), args.out)
-        return EXIT_OK
-    _graph_output(args, c.as_folded_graph())
+    g = fold(_presentation_from_args(args))
+    _graph_output(args, g.rank, _core_graph(g))
     return EXIT_OK
 
 
@@ -316,18 +316,8 @@ def _cmd_random(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    p = _presentation_from_args(args)
-    g = fold(p)
-    if args.core_only:
-        c = core(g)
-        if not c.vertices:
-            _write(_dump({"rank": c.rank, "basepoint": None, "vertices": 0, "edges": []}), args.out)
-            return EXIT_OK
-        g = c.as_folded_graph()
-    if args.dot:
-        _write(export_dot(g), args.out)
-    else:
-        _write(_dump(graph_to_json(g)), args.out)
+    g = fold(_presentation_from_args(args))
+    _graph_output(args, g.rank, _core_graph(g) if args.core_only else g, summary=False)
     return EXIT_OK
 
 

@@ -8,10 +8,9 @@ single-label cycle structure used by the basis algorithm.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .words import (
     Word,
@@ -57,20 +56,33 @@ class SubgroupPresentation:
         return SubgroupPresentation(rank, tuple(word_from_json(rank, g) for g in gens))
 
 
-class FoldedGraph:
-    """Immutable folded graph with canonical vertex numbering (basepoint 0).
-
-    succ[i-1] maps v to the endpoint of the x_i-edge leaving v; pred[i-1]
-    is its inverse.  Both are partial injections.
-    """
+class _EdgeMaps:
+    """Labelled edges as partial injections: succ[i-1] maps v to the
+    endpoint of the x_i-edge leaving v, and pred[i-1] is its inverse."""
 
     def __init__(self, rank: int, succ: Sequence[dict[int, int]]):
         self.rank = rank
-        self.basepoint = 0
         self.succ: tuple[dict[int, int], ...] = tuple(dict(m) for m in succ)
         self.pred: tuple[dict[int, int], ...] = tuple(
             {u: v for v, u in m.items()} for m in self.succ
         )
+
+    def step(self, v: int, letter: int) -> Optional[int]:
+        """Endpoint of the edge labelled `letter` at v, or None if absent."""
+        if letter > 0:
+            return self.succ[letter - 1].get(v)
+        return self.pred[-letter - 1].get(v)
+
+    def num_edges(self) -> int:
+        return sum(len(m) for m in self.succ)
+
+
+class FoldedGraph(_EdgeMaps):
+    """Immutable folded graph with canonical vertex numbering (basepoint 0)."""
+
+    def __init__(self, rank: int, succ: Sequence[dict[int, int]]):
+        super().__init__(rank, succ)
+        self.basepoint = 0
         verts = {0}
         for m in self.succ:
             verts.update(m)
@@ -78,12 +90,6 @@ class FoldedGraph:
         self.num_vertices = max(verts) + 1 if verts else 1
 
     # -- queries ----------------------------------------------------------
-
-    def step(self, v: int, letter: int) -> Optional[int]:
-        """Endpoint of the edge labelled `letter` at v, or None if absent."""
-        if letter > 0:
-            return self.succ[letter - 1].get(v)
-        return self.pred[-letter - 1].get(v)
 
     def trace(self, v: int, letters: Iterable[int]) -> Optional[int]:
         for s in letters:
@@ -98,9 +104,6 @@ class FoldedGraph:
         if w.rank != self.rank:
             raise ValueError("rank mismatch")
         return self.trace(self.basepoint, w.letters) == self.basepoint
-
-    def num_edges(self) -> int:
-        return sum(len(m) for m in self.succ)
 
     def index(self) -> Optional[int]:
         """Subgroup index: the vertex count if the graph is 2n-regular
@@ -240,14 +243,10 @@ def fold(p: SubgroupPresentation) -> FoldedGraph:
     return b.finish()
 
 
-def membership(g: FoldedGraph, w: Word) -> bool:
-    return g.membership(w)
-
-
 # --- core ------------------------------------------------------------------
 
 
-class CoreGraph:
+class CoreGraph(_EdgeMaps):
     """The valence->=2 core of a folded graph, sharing its vertex ids.
 
     `attachment` is the core vertex nearest the basepoint (the basepoint
@@ -255,29 +254,17 @@ class CoreGraph:
     """
 
     def __init__(self, graph: FoldedGraph, vertices: frozenset[int], attachment: Optional[int]):
-        self.graph = graph
-        self.rank = graph.rank
-        self.vertices = vertices
-        self.attachment = attachment
-        self.succ: tuple[dict[int, int], ...] = tuple(
+        super().__init__(graph.rank, [
             {v: u for v, u in m.items() if v in vertices and u in vertices}
             for m in graph.succ
-        )
-        self.pred: tuple[dict[int, int], ...] = tuple(
-            {u: v for v, u in m.items()} for m in self.succ
-        )
+        ])
+        self.graph = graph
+        self.vertices = vertices
+        self.attachment = attachment
 
     @property
     def num_vertices(self) -> int:
         return len(self.vertices)
-
-    def num_edges(self) -> int:
-        return sum(len(m) for m in self.succ)
-
-    def step(self, v: int, letter: int) -> Optional[int]:
-        if letter > 0:
-            return self.succ[letter - 1].get(v)
-        return self.pred[-letter - 1].get(v)
 
     def rank_of_subgroup(self) -> int:
         """Free rank of the encoded subgroup: E - V + 1, or 0 when empty."""
@@ -340,19 +327,16 @@ class CoreGraph:
         return t
 
     def as_folded_graph(self) -> FoldedGraph:
-        """The core as a standalone graph, renumbered from the attachment."""
+        """The core as a standalone graph, renumbered breadth-first from
+        the attachment (the core is connected)."""
         if not self.vertices:
             raise ValueError("empty core has no graph form")
-        b = _Builder(self.rank)
-        number = {self.attachment: b.base}
-        for v in sorted(self.vertices):
-            if v not in number:
-                number[v] = b.add_vertex()
-        for i, m in enumerate(self.succ, start=1):
-            for v, u in m.items():
-                b.neighbors[number[v]][b._slot(i)] = number[u]
-                b.neighbors[number[u]][b._slot(-i)] = number[v]
-        return b.finish()
+        number = {self.attachment: 0}
+        for _, _, u in _breadth_first(self, self.attachment):
+            number[u] = len(number)
+        return FoldedGraph(
+            self.rank, [{number[v]: number[u] for v, u in m.items()} for m in self.succ]
+        )
 
 
 def core(g: FoldedGraph) -> CoreGraph:
@@ -387,23 +371,10 @@ def core(g: FoldedGraph) -> CoreGraph:
                     queue.append(w)
     kept = frozenset(v for v in range(g.num_vertices) if not removed[v])
     attachment = None
-    if kept:
-        if g.basepoint in kept:
-            attachment = g.basepoint
-        else:
-            seen = {g.basepoint}
-            bfs = deque([g.basepoint])
-            while bfs and attachment is None:
-                v = bfs.popleft()
-                for letter in _letter_order(g.rank):
-                    u = g.step(v, letter)
-                    if u is None or u in seen:
-                        continue
-                    if u in kept:
-                        attachment = u
-                        break
-                    seen.add(u)
-                    bfs.append(u)
+    if g.basepoint in kept:
+        attachment = g.basepoint
+    elif kept:
+        attachment = next(u for _, _, u in _breadth_first(g, g.basepoint) if u in kept)
     return CoreGraph(g, kept, attachment)
 
 
@@ -412,6 +383,23 @@ def _letter_order(rank: int) -> list[int]:
     for i in range(1, rank + 1):
         out.extend((i, -i))
     return out
+
+
+def _breadth_first(g: _EdgeMaps, start: int) -> Iterator[tuple[int, int, int]]:
+    """The edges (v, letter, u) of the breadth-first spanning tree from
+    start, exploring x_1, x_1^-1, x_2, ... in order, lazily and in the
+    order their new endpoints u are discovered."""
+    letters = _letter_order(g.rank)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for letter in letters:
+            u = g.step(v, letter)
+            if u is not None and u not in seen:
+                seen.add(u)
+                queue.append(u)
+                yield v, letter, u
 
 
 def loop_union(c: CoreGraph) -> frozenset[int]:
@@ -430,14 +418,8 @@ def spanning_paths(g: FoldedGraph) -> dict[int, tuple[int, ...]]:
     breadth-first spanning tree (exploring x_1, x_1^-1, x_2, ... in order).
     Tree paths are geodesics, so their letters are freely reduced."""
     path: dict[int, tuple[int, ...]] = {g.basepoint: ()}
-    queue = deque([g.basepoint])
-    while queue:
-        v = queue.popleft()
-        for letter in _letter_order(g.rank):
-            u = g.step(v, letter)
-            if u is not None and u not in path:
-                path[u] = path[v] + (letter,)
-                queue.append(u)
+    for v, letter, u in _breadth_first(g, g.basepoint):
+        path[u] = path[v] + (letter,)
     return path
 
 
@@ -500,11 +482,13 @@ def graph_to_json(g: FoldedGraph) -> dict:
 
 
 def graph_from_json(data: dict) -> FoldedGraph:
-    rank = int(data["rank"])
+    data = json_value(data, dict, "graph")
+    rank = json_value(data.get("rank"), int, "rank")
     succ: list[dict[int, int]] = [dict() for _ in range(rank)]
     pred_seen: list[set[int]] = [set() for _ in range(rank)]
-    for e in data.get("edges", []):
-        v, u, i = int(e["from"]), int(e["to"]), int(e["label"])
+    for e in json_value(data.get("edges", []), list, "edges"):
+        e = json_value(e, dict, "edge")
+        v, u, i = (json_value(e.get(key), int, f"edge {key!r}") for key in ("from", "to", "label"))
         if not 1 <= i <= rank:
             raise ValueError(f"edge label {i} out of range")
         if v in succ[i - 1] or u in pred_seen[i - 1]:
@@ -518,16 +502,7 @@ def graph_from_json(data: dict) -> FoldedGraph:
         verts.update(m.values())
     if verts != set(range(g.num_vertices)):
         raise ValueError("vertex numbering must be contiguous from 0")
-    reach = {0}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for letter in _letter_order(rank):
-            u = g.step(v, letter)
-            if u is not None and u not in reach:
-                reach.add(u)
-                queue.append(u)
-    if len(reach) != g.num_vertices:
+    if 1 + sum(1 for _ in _breadth_first(g, 0)) != g.num_vertices:
         raise ValueError("graph is not connected to the basepoint")
     return g
 
@@ -541,7 +516,3 @@ def export_dot(g: FoldedGraph) -> str:
         lines.append(f'  {v} -> {u} [label="x{i}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def export_json(g: FoldedGraph) -> str:
-    return json.dumps(graph_to_json(g), indent=2, sort_keys=True) + "\n"

@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 from .basis import BasisCertificate, transformed_syllables
 from .graphs import SubgroupPresentation
-from .words import Word, syllables
-
-Rational = Fraction
+from .words import Word, json_pair, json_value, syllables
 
 
 class AlternatingFunction:
@@ -73,7 +72,24 @@ class AlternatingFunction:
 
     @staticmethod
     def from_json(data: dict) -> "AlternatingFunction":
-        return AlternatingFunction({int(m): Fraction(q) for m, q in data.get("support", [])})
+        support = json_value(json_value(data, dict, "factor").get("support", []), list, "support")
+        values = {}
+        for entry in support:
+            m, q = json_pair(entry, "support entry")
+            values[json_value(m, int, "support point")] = _rational_from_json(q)
+        return AlternatingFunction(values)
+
+
+_RATIONAL_RE = re.compile(r"-?\d+(/\d*[1-9]\d*)?")
+
+
+def _rational_from_json(value) -> Fraction:
+    """A support value: an integer, or a rational string "p" or "p/q"."""
+    if isinstance(value, str) and _RATIONAL_RE.fullmatch(value) or (
+        isinstance(value, int) and not isinstance(value, bool)
+    ):
+        return Fraction(value)
+    raise ValueError(f"support value must be an integer or a string p/q, got {value!r:.40}")
 
 
 @dataclass(frozen=True)
@@ -123,6 +139,12 @@ def defect_z(f: AlternatingFunction, window: Optional[int] = None) -> DefectRepo
     return DefectReport(Fraction(best, denom), witness)
 
 
+def factors_from_json(data: dict) -> list[AlternatingFunction]:
+    """The alternating functions listed under "factors" in a JSON object."""
+    factors = json_value(json_value(data, dict, "factors file").get("factors"), list, "factors")
+    return [AlternatingFunction.from_json(f) for f in factors]
+
+
 def embed_support(f: AlternatingFunction, m0: int) -> AlternatingFunction:
     """Push f onto the subgroup m0*Z: the result g has g(m0*t) = f(t) and
     vanishes off multiples of m0.  The defect is unchanged."""
@@ -170,18 +192,10 @@ class SplitQuasimorphism:
 
     @staticmethod
     def from_json(data: dict) -> "SplitQuasimorphism":
+        data = json_value(data, dict, "split quasimorphism")
         return SplitQuasimorphism(
-            int(data["rank"]),
-            [AlternatingFunction.from_json(f) for f in data["factors"]],
+            json_value(data.get("rank"), int, "rank"), factors_from_json(data)
         )
-
-
-def eval_split(q: SplitQuasimorphism, w: Word) -> Fraction:
-    return q(w)
-
-
-def split_defect(q: SplitQuasimorphism) -> Fraction:
-    return q.defect()
 
 
 def coboundary1(f: Callable[[Word], Fraction], g: Word, h: Word) -> Fraction:
@@ -232,9 +246,9 @@ class RelativeQuasimorphism:
 
     @staticmethod
     def from_json(data: dict) -> "RelativeQuasimorphism":
+        data = json_value(data, dict, "relative quasimorphism")
         return RelativeQuasimorphism(
-            BasisCertificate.from_json(data["certificate"]),
-            [AlternatingFunction.from_json(f) for f in data["factors"]],
+            BasisCertificate.from_json(data.get("certificate")), factors_from_json(data)
         )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 Syllable = tuple[int, int]  # (generator index >= 1, nonzero exponent)
 
@@ -110,14 +110,6 @@ def free_reduce(rank: int, letters: Iterable[int]) -> Word:
     return Word(rank, tuple(_reduce_list(_check_letters(rank, letters))))
 
 
-def multiply(a: Word, b: Word) -> Word:
-    return a * b
-
-
-def invert(w: Word) -> Word:
-    return ~w
-
-
 def cyclically_reduce(w: Word) -> tuple[Word, Word]:
     """Split w = conjugator * core * conjugator^-1 with core cyclically reduced.
 
@@ -179,9 +171,10 @@ def format_word(w: Word) -> str:
     return " ".join(parts)
 
 
-def parse_word(text: str, rank: int) -> Word:
+def parse_word(text: str, rank: Optional[int]) -> Word:
     """Parse x-notation (``x2^-3``, separated by whitespace or '.') or, for
-    rank <= 26, the letter shorthand a-z / A-Z.  The result is reduced."""
+    rank <= 26, the letter shorthand a-z / A-Z.  The result is reduced.
+    With rank None the word's rank is its largest generator index."""
     letters: list[int] = []
     pos = 0
     for token in re.split(r"[\s.]+", text):
@@ -192,21 +185,25 @@ def parse_word(text: str, rank: int) -> Word:
         if m:
             i = int(m.group(1))
             e = int(m.group(2)) if m.group(2) is not None else 1
-            if not 1 <= i <= rank:
+            if i == 0:
+                raise WordSyntaxError("generator x0 does not exist", pos)
+            if rank is not None and i > rank:
                 raise WordSyntaxError(f"generator x{i} exceeds rank {rank}", pos)
             s = i if e > 0 else -i
             letters.extend([s] * abs(e))
         elif token.isalpha():
-            if rank > 26:
+            if rank is not None and rank > 26:
                 raise WordSyntaxError("letter shorthand needs rank <= 26", pos)
             for off, ch in enumerate(token):
                 i = ord(ch.lower()) - ord("a") + 1
-                if i > rank:
+                if rank is not None and i > rank:
                     raise WordSyntaxError(f"letter {ch!r} exceeds rank {rank}", pos + off)
                 letters.append(i if ch.islower() else -i)
         else:
             raise WordSyntaxError(f"cannot parse token {token!r}", pos)
         pos += len(token)
+    if rank is None:
+        rank = max((abs(s) for s in letters), default=0)
     return Word(rank, tuple(_reduce_list(letters)))
 
 
@@ -231,11 +228,17 @@ def json_value(value, kind: type, what: str):
     raise ValueError(f"{what} must be {_JSON_KINDS[kind]}, got {value!r:.40}")
 
 
-def json_int_pair(value, what: str) -> tuple[int, int]:
-    """A decoded two-element array of integers, as a tuple."""
+def json_pair(value, what: str) -> tuple:
+    """A decoded two-element array, as a tuple."""
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
         raise ValueError(f"{what} must be a pair, got {value!r:.40}")
-    return json_value(value[0], int, what), json_value(value[1], int, what)
+    return tuple(value)
+
+
+def json_int_pair(value, what: str) -> tuple[int, int]:
+    """A decoded two-element array of integers, as a tuple."""
+    a, b = json_pair(value, what)
+    return json_value(a, int, what), json_value(b, int, what)
 
 
 # --- syllable-sequence algebra -------------------------------------------
@@ -255,18 +258,6 @@ def push_syllable(stack: list[Syllable], syll: Syllable) -> None:
             stack.append((i, e2))
     else:
         stack.append((i, e))
-
-
-def concat_syllables(*seqs: Iterable[Syllable]) -> list[Syllable]:
-    out: list[Syllable] = []
-    for seq in seqs:
-        for syll in seq:
-            push_syllable(out, syll)
-    return out
-
-
-def invert_syllables(sylls: Iterable[Syllable]) -> list[Syllable]:
-    return [(i, -e) for i, e in reversed(list(sylls))]
 
 
 def syllable_length(sylls: Iterable[Syllable]) -> int:

@@ -33,6 +33,25 @@ def dense_defect(f, window=None) -> tuple[Fraction, tuple[int, int]]:
     return best, wit
 
 
+def apply_move_letters(w: Word, move) -> Word:
+    """The elementary move by letter-level substitution: x_j -> x_j x_i^k
+    for j != i, x_j^-1 -> x_i^-k x_j^-1, then free reduction."""
+    i, k = move.index, move.power
+    tail = [i] * k if k > 0 else [-i] * (-k)  # x_i^k
+    head = [-s for s in reversed(tail)]  # x_i^-k
+    out: list[int] = []
+    for s in w.letters:
+        if abs(s) == i:
+            out.append(s)
+        elif s > 0:
+            out.append(s)
+            out.extend(tail)
+        else:
+            out.extend(head)
+            out.append(s)
+    return free_reduce(w.rank, out)
+
+
 def subgroup_products(p: SubgroupPresentation, max_factors: int) -> set[Word]:
     """All products of at most max_factors generators and inverses."""
     gens = list(p.generators) + [~w for w in p.generators]

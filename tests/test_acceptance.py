@@ -30,7 +30,6 @@ from corefree import (
     make_relative_qm,
     nontriviality_witness,
     parse_word,
-    split_defect,
     transformed_syllables,
     verify_certificate,
 )
@@ -199,7 +198,7 @@ def test_criterion_5_defect_norm_shadow():
     for _ in range(1000):
         rank = rng.choice([2, 3])
         q = random_split_qm(rng, rank, max_support=6)
-        d = split_defect(q)
+        d = q.defect()
         for _ in range(10):
             g = random_reduced_word(rng, rank, rng.randint(0, 12))
             h = random_reduced_word(rng, rank, rng.randint(0, 12))

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -20,7 +21,6 @@ from corefree import (
     fold,
     parse_word,
     syllables,
-    to_transformed_coordinates,
     transformed_syllables,
     verify_certificate,
 )
@@ -30,6 +30,8 @@ from corefree.sampling import (
     random_reduced_word,
     random_subgroup_element,
 )
+
+from helpers import apply_move_letters
 
 
 def pres(rank, *texts):
@@ -49,10 +51,11 @@ def substitute(word_in_x, basis):
 
 def test_apply_move_examples():
     m = ElementaryMove(2, -2)
-    assert apply_move(parse_word("x1", 2), m) == parse_word("x1 x2^-2", 2)
-    assert apply_move(parse_word("x2", 2), m) == parse_word("x2", 2)
-    w = parse_word("x1 x2 x1", 2)
-    assert apply_move(apply_move(w, ElementaryMove(2, 2)), ElementaryMove(2, -2)) == w
+    for move in (apply_move, apply_move_letters):
+        assert move(parse_word("x1", 2), m) == parse_word("x1 x2^-2", 2)
+        assert move(parse_word("x2", 2), m) == parse_word("x2", 2)
+        w = parse_word("x1 x2 x1", 2)
+        assert move(move(w, ElementaryMove(2, 2)), ElementaryMove(2, -2)) == w
 
 
 def test_move_power_must_be_nonzero():
@@ -87,7 +90,9 @@ def test_automorphism_agrees_with_letter_level_move():
         rank = rng.randint(2, 3)
         move = ElementaryMove(rng.randint(1, rank), rng.choice([-3, -1, 1, 2]))
         w = random_reduced_word(rng, rank, rng.randint(0, 10))
-        assert Automorphism(rank, (move,)).apply(w) == apply_move(w, move)
+        expected = apply_move_letters(w, move)
+        assert apply_move(w, move) == expected
+        assert Automorphism(rank, (move,)).apply(w) == expected
 
 
 def test_automorphism_is_homomorphism():
@@ -173,6 +178,24 @@ def test_find_basis_trivial_subgroup():
 def test_find_basis_word_blowup_cap():
     with pytest.raises(WordBlowupError):
         find_power_free_basis(pres(2, "x1^3", "x2^3"), max_total_length=10)
+
+
+def test_find_basis_blowup_is_measured_before_expanding():
+    # H = <x1^L>: the core is an x1-cycle of L vertices, so the one move is
+    # x1 -> x1 x2^-(L+1), and the image of x1^L has L (L + 2) letters.
+    L = 2000
+    p = pres(2, f"x1^{L}")
+    tracemalloc.start()
+    try:
+        with pytest.raises(WordBlowupError) as err:
+            find_power_free_basis(p, max_total_length=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    letters = L * (L + 2)
+    assert str(err.value) == f"generators reached {letters} letters (cap 1000)"
+    # an expanded word holds at least one 8-byte reference per letter
+    assert peak < letters
 
 
 def test_find_basis_transformed_core_has_no_loops():
@@ -267,13 +290,13 @@ def test_power_bound_sound_on_samples():
 
 def test_to_transformed_coordinates_examples():
     cert = find_power_free_basis(pres(2, "x1"))
-    image = to_transformed_coordinates(cert, parse_word("x1", 2))
+    image = cert.automorphism.apply(parse_word("x1", 2))
     assert image == parse_word("x1 x2^-2", 2)
     assert substitute(image, cert.basis) == parse_word("x1", 2)
-    assert to_transformed_coordinates(cert, Word.identity(2)).is_identity()
+    assert cert.automorphism.apply(Word.identity(2)).is_identity()
     cert0 = find_power_free_basis(pres(2, "x1 x2"))
     w = parse_word("x2 x1^-1", 2)
-    assert to_transformed_coordinates(cert0, w) == w
+    assert cert0.automorphism.apply(w) == w
 
 
 def test_transformed_syllables_match_letter_route():
@@ -281,9 +304,10 @@ def test_transformed_syllables_match_letter_route():
     cert = find_power_free_basis(pres(2, "x1^3", "x2 x1 x2 x1^-1"))
     for _ in range(100):
         w = random_reduced_word(rng, 2, rng.randint(0, 12))
-        assert tuple(transformed_syllables(cert, w)) == syllables(
-            to_transformed_coordinates(cert, w)
-        )
+        image = w
+        for move in cert.automorphism.moves:
+            image = apply_move_letters(image, move)
+        assert tuple(transformed_syllables(cert, w)) == syllables(image)
 
 
 # --- certificate verification -----------------------------------------------------

@@ -1,10 +1,15 @@
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from typing import Optional
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import corefree
 from corefree.cli import main
@@ -14,6 +19,22 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_captured(*argv):
+    """run() without the capsys fixture, for property tests."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_json_error(err: str, kind: Optional[str] = "Usage") -> None:
+    """err is one line holding a JSON error of the given kind (any if None)."""
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert isinstance(payload["message"], str)
+    assert kind is None or payload["error"] == kind
 
 
 def test_fold_summary(capsys):
@@ -147,6 +168,162 @@ def test_verify_usage_error(tmp_path, capsys):
         code, _, err = run(capsys, "fold", "--in", str(bad_presentation))
         assert code == 2
         assert json.loads(err.strip())["error"] == "Usage"
+
+
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        (["qm-defect", "--factors", "{file}"], {"rank": 2, "factors": None}),
+        (["qm-defect", "--factors", "{file}"], {"rank": None, "factors": []}),
+        (["qm-defect", "--factors", "{file}"], [{"rank": 2}]),
+        (["qm-defect", "--factors", "{file}"],
+         {"rank": 2, "factors": [{"support": [[1, 0.5]]}, {"support": []}]}),
+        (["qm-eval", "--factors", "{file}", "--word", "x1"],
+         {"rank": 2, "factors": [{"support": [[1, "1/0"]]}, {"support": []}]}),
+        (["qm-eval", "--factors", "{file}", "--word", "x1"],
+         {"rank": 2, "factors": [{"support": [[1, "0.5"]]}, {"support": []}]}),
+        (["make-relative", "--cert", "{cert}", "--factors", "{file}"],
+         {"factors": [{"support": [[1, None]]}, {"support": []}]}),
+        (["make-relative", "--cert", "{cert}", "--factors", "{file}"],
+         {"factors": [{"support": [[None, "1"]]}, {"support": []}]}),
+        (["make-relative", "--cert", "{cert}", "--factors", "{file}"],
+         {"factors": [{"support": "3"}, {"support": []}]}),
+        (["make-relative", "--cert", "{cert}", "--factors", "{file}"],
+         {"factors": [[[3, "1"]], {"support": []}]}),
+        (["fold", "--in", "{file}"],
+         {"rank": 2, "basepoint": 0, "vertices": 2,
+          "edges": [{"from": None, "to": 1, "label": 1}]}),
+        (["fold", "--in", "{file}"], {"rank": 2, "edges": [[0, 1, 1]]}),
+        (["fold", "--in", "{file}"], {"rank": "2", "edges": []}),
+        (["export", "--in", "{file}"], {"rank": 2, "edges": None}),
+        (["check-vanishing", "--relative", "{file}"], {"certificate": None, "factors": []}),
+        (["make-relative", "--cert", "{file}", "--factors", "{factors}"],
+         lambda cert: dict(cert, m0=0)),
+        (["check-vanishing", "--relative", "{file}"],
+         lambda cert: {"certificate": dict(cert, moves=[[3, -2]]), "factors": [{}, {}]}),
+    ],
+    ids=["factors-null", "rank-null", "qm-array", "float-value", "zero-denominator",
+         "decimal-string", "support-value-null", "support-point-null", "support-string",
+         "factor-array", "edge-from-null", "edge-array", "graph-rank-string",
+         "edges-null", "certificate-null", "m0-zero", "move-index-beyond-rank"],
+)
+def test_malformed_loader_input(tmp_path, capsys, argv, data):
+    cert_file = tmp_path / "cert.json"
+    run(capsys, "find-basis", "--gens", "x1", "--out", str(cert_file))
+    factors_file = tmp_path / "factors.json"
+    factors_file.write_text(json.dumps({"factors": [{"support": [[3, "1"]]}, {}]}))
+    if callable(data):
+        data = data(json.loads(cert_file.read_text()))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    argv = [a.format(file=bad, cert=cert_file, factors=factors_file) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert_json_error(err)
+
+
+def test_rank_is_inferred_from_the_largest_index(capsys):
+    code, out, _ = run(capsys, "fold", "--gens", "x27")
+    assert code == 0
+    assert out == "vertices: 1\nedges: 1\nrank: 1\nindex: infinite\n"
+    code, out, _ = run(capsys, "export", "--gens", "x1 x30^-1")
+    assert code == 0 and json.loads(out)["rank"] == 30
+    code, out, _ = run(capsys, "fold", "--gens", "ab", "--json")
+    assert code == 0 and json.loads(out)["rank"] == 2
+    # letter shorthand stays limited to rank <= 26
+    code, out, err = run(capsys, "fold", "--gens", "x27, a")
+    assert code == 2 and out == ""
+    assert_json_error(err, "ParseError")
+
+
+# --- malformed artifacts ---------------------------------------------------------
+
+_P = corefree.SubgroupPresentation(
+    2, (corefree.parse_word("x1 x2 x1^-1 x2", 2), corefree.parse_word("x2^3", 2)))
+_CERT = corefree.find_power_free_basis(_P)
+_FACTORS = {"factors": [
+    {"support": [[_CERT.power_bound, "1"], [2 * _CERT.power_bound, "-1/2"]]},
+    {"support": [[_CERT.power_bound, "3"]]},
+]}
+ARTIFACTS = {
+    "presentation": _P.to_json(),
+    "graph": corefree.graph_to_json(corefree.fold(_P)),
+    "certificate": _CERT.to_json(),
+    "factors": _FACTORS,
+    "qm": {"rank": 2, "factors": [{"support": [[1, "1"], [2, "2"]]}, {"support": [[3, "-1/2"]]}]},
+    "relative": {"certificate": _CERT.to_json(), "factors": _FACTORS["factors"]},
+}
+# the commands that read each artifact ({} is the mutated file); exit code 1
+# is a failed verification, so only verify and check-vanishing may return it
+READERS = {
+    "presentation": [["fold", "--in", "{}"], ["find-basis", "--in", "{}"],
+                     ["m0", "--in", "{}"], ["export", "--in", "{}", "--core", "--dot"]],
+    "graph": [["fold", "--in", "{}", "--json"], ["core", "--in", "{}"],
+              ["find-basis", "--in", "{}"]],
+    "certificate": [["make-relative", "--cert", "{}", "--factors", "{factors}"],
+                    ["verify", "--cert", "{}", "--samples", "5"]],
+    "factors": [["make-relative", "--cert", "{cert}", "--factors", "{}"]],
+    "qm": [["qm-defect", "--factors", "{}"], ["qm-eval", "--factors", "{}", "--word", "x1^2 x2"]],
+    "relative": [["check-vanishing", "--relative", "{}", "--samples", "5", "--length", "4"]],
+}
+MUTANTS = [None, True, 1.5, "x", "1/2", [], {}, -1, 0, 1, 2, 3, [1, 2], [[1, 1]], {"a": 1}]
+
+
+def _paths(data, path=()):
+    yield path
+    items = data.items() if isinstance(data, dict) else enumerate(data) if isinstance(data, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def mutated(draw, data):
+    """data with one to three nodes replaced by a mutant or deleted.  The
+    depth is drawn first, so that the few top-level fields are hit about as
+    often as the many deep ones."""
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(data))
+        depth = draw(st.sampled_from(sorted({len(p) for p in paths})))
+        path = draw(st.sampled_from([p for p in paths if len(p) == depth]))
+        value = draw(st.sampled_from(MUTANTS + ["delete"]))
+        if not path:
+            data = copy.deepcopy(value if value != "delete" else {})
+            continue
+        data = copy.deepcopy(data)
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        if value == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return data
+
+
+@pytest.fixture(scope="module")
+def artifact_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("artifacts")
+    for name, data in ARTIFACTS.items():
+        (d / f"{name}.json").write_text(json.dumps(data))
+    return d
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_artifacts_exit_cleanly(artifact_dir, data):
+    kind = data.draw(st.sampled_from(sorted(ARTIFACTS)))
+    bad = artifact_dir / "mutated.json"
+    bad.write_text(json.dumps(data.draw(mutated(ARTIFACTS[kind]))))
+    for template in READERS[kind]:
+        argv = [a.format(bad, cert=artifact_dir / "certificate.json",
+                         factors=artifact_dir / "factors.json") for a in template]
+        code, _, err = run_captured(*argv)
+        if code in (0, 1):
+            assert code == 0 or argv[0] in ("verify", "check-vanishing")
+            assert err == ""
+        else:
+            assert code in (2, 3, 4)
+            assert_json_error(err, None)
 
 
 def test_parse_error_reports_position(capsys):

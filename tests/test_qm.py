@@ -15,13 +15,11 @@ from corefree import (
     counting_qm,
     defect_z,
     embed_support,
-    eval_split,
     find_power_free_basis,
     make_relative_qm,
     nontriviality_witness,
     parse_word,
     sample_defect,
-    split_defect,
 )
 from corefree.sampling import (
     random_alternating,
@@ -106,7 +104,7 @@ def test_eval_split_examples():
     q = SplitQuasimorphism(2, [AlternatingFunction({1: 1}), AlternatingFunction({})])
     assert q(parse_word("x1 x2 x1^2", 2)) == 1  # f1(1) + f2(1) + f1(2)
     assert q(Word.identity(2)) == 0
-    assert eval_split(q, parse_word("x1", 2)) == 1
+    assert q(parse_word("x1", 2)) == 1
 
 
 def test_eval_split_alternating():
@@ -132,8 +130,8 @@ def test_split_defect_is_max_of_factor_defects():
     fa = AlternatingFunction({1: 1})  # defect 2
     fb = AlternatingFunction({1: Fraction(3, 2)})  # defect 3
     q = SplitQuasimorphism(2, [fa, fb])
-    assert split_defect(q) == 3
-    assert split_defect(SplitQuasimorphism(2, [AlternatingFunction({})] * 2)) == 0
+    assert q.defect() == 3
+    assert SplitQuasimorphism(2, [AlternatingFunction({})] * 2).defect() == 0
 
 
 def test_split_defect_witness_realised_by_words():
@@ -141,14 +139,14 @@ def test_split_defect_witness_realised_by_words():
     for _ in range(150):
         q = random_split_qm(rng, rng.choice([2, 3]))
         g, h = q.defect_witness()
-        assert abs(coboundary1(q, g, h)) == split_defect(q)
+        assert abs(coboundary1(q, g, h)) == q.defect()
 
 
 def test_sampled_coboundaries_never_exceed_split_defect():
     rng = random.Random(57)
     for _ in range(100):
         q = random_split_qm(rng, 2)
-        d = split_defect(q)
+        d = q.defect()
         for _ in range(20):
             g = random_reduced_word(rng, 2, rng.randint(0, 12))
             h = random_reduced_word(rng, 2, rng.randint(0, 12))
@@ -304,14 +302,14 @@ def test_sample_defect_bounded_by_split_defect():
     rng = random.Random(66)
     q = random_split_qm(rng, 2)
     sampler = lambda: random_reduced_word(rng, 2, rng.randint(0, 10))
-    assert sample_defect(q, sampler, 200) <= split_defect(q)
+    assert sample_defect(q, sampler, 200) <= q.defect()
 
 
 def test_sample_defect_attains_with_forced_witness():
     q = SplitQuasimorphism(2, [AlternatingFunction({1: 1}), AlternatingFunction({})])
     g, h = q.defect_witness()
     feed = iter([g, h] * 10)
-    assert sample_defect(q, lambda: next(feed), 10) == split_defect(q)
+    assert sample_defect(q, lambda: next(feed), 10) == q.defect()
 
 
 def test_sample_defect_zero_qm():
