@@ -25,7 +25,7 @@ from .graphs import (
     generators_from_graph,
     graph_from_json,
     graph_to_json,
-    loop_union,
+    orbits,
 )
 from .basis import (
     Automorphism,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .graphs import (
     CoreGraph,
@@ -23,7 +23,7 @@ from .graphs import (
     conjugate_power,
     core,
     fold,
-    loop_union,
+    orbits,
 )
 from .words import (
     Syllable,
@@ -31,6 +31,7 @@ from .words import (
     json_int_pair,
     json_value,
     push_syllable,
+    random_product,
     syllable_length,
     syllables,
     word_from_json,
@@ -246,27 +247,53 @@ def compute_k(c: CoreGraph, index: int) -> int:
 
 
 def compute_power_bound(g: FoldedGraph) -> int:
-    """1 + the longest single-label run in the graph.  Requires every
-    label's edge map to be cycle-free; each one is then a disjoint union
-    of paths, and any subgroup element traces its syllables along them."""
-    best = 0
-    for i in range(g.rank):
-        succ = g.succ[i]
-        image = set(succ.values())
-        walked = 0
-        for v in succ:
-            if v in image:
-                continue
-            length = 0
-            u = v
-            while u in succ:
-                u = succ[u]
-                length += 1
-            walked += length
-            best = max(best, length)
-        if walked != len(succ):
-            raise UnboundedRunError(f"label x{i + 1} still has a cycle")
-    return best + 1
+    """1 + the longest single-label run in the graph: every syllable
+    exponent of a subgroup element is strictly below it (see orbits).
+    Raises UnboundedRunError when some label's edges contain a cycle."""
+    longest = 0
+    for i, succ in enumerate(g.succ, start=1):
+        paths, cycles = orbits(succ)
+        if cycles:
+            raise UnboundedRunError(f"label x{i} still has a cycle")
+        longest = max([longest] + [len(path) - 1 for path in paths])
+    return longest + 1
+
+
+def _iterate(
+    p: SubgroupPresentation,
+    graph: FoldedGraph,
+    next_move: Callable[[CoreGraph, dict[int, frozenset[int]], int], Optional[ElementaryMove]],
+    max_total_length: int,
+) -> tuple[list[ElementaryMove], list[IterationStep], list[Word], FoldedGraph]:
+    """The basis iteration from graph = fold(p).  Each round reads the core
+    of the current graph and its loop sets, and asks next_move(core, loop
+    sets, size of their union) for a move; None ends the run.  The move is
+    applied to the generators, its letter count checked against the cap
+    before any word is expanded, and the result refolded.  Returns the
+    moves, their trace steps, the final generators and their graph."""
+    gens = list(p.generators)
+    moves: list[ElementaryMove] = []
+    trace: list[IterationStep] = []
+    while True:
+        c = core(graph)
+        loop_sets = {i: c.loop_set(i) for i in range(1, p.rank + 1)}
+        union_size = len(frozenset().union(*loop_sets.values()))
+        if trace:
+            trace[-1].loops_after = union_size
+        move = next_move(c, loop_sets, union_size)
+        if move is None:
+            return moves, trace, gens, graph
+        # measured before expanding: one move can multiply the letter count by k
+        images = [_move_on_syllables(syllables(w), move.index, move.power) for w in gens]
+        total = sum(syllable_length(s) for s in images)
+        if total > max_total_length:
+            raise WordBlowupError(
+                f"generators reached {total} letters (cap {max_total_length})"
+            )
+        gens = [word_from_syllables(p.rank, s) for s in images]
+        moves.append(move)
+        trace.append(IterationStep(move.index, -move.power, union_size, 0, c.num_vertices))
+        graph = fold(SubgroupPresentation(p.rank, tuple(gens)))
 
 
 def find_power_free_basis(
@@ -280,40 +307,14 @@ def find_power_free_basis(
     idx = g.index()
     if idx is not None:
         raise FiniteIndexError(idx)
-    gens = list(p.generators)
-    moves: list[ElementaryMove] = []
-    trace: list[IterationStep] = []
-    graph = g
-    while True:
-        c = core(graph)
-        loop_sets = {i: c.loop_set(i) for i in range(1, p.rank + 1)}
-        union_size = len(loop_union(c))
-        if trace:
-            trace[-1].loops_after = union_size
+
+    def next_move(c: CoreGraph, loop_sets: dict[int, frozenset[int]], union_size: int):
         if union_size == 0:
-            break
+            return None
         i = choose_index(loop_sets)
-        k = compute_k(c, i)
-        move = ElementaryMove(i, -k)
-        # measured before expanding: one move can multiply the letter count by k
-        images = [_move_on_syllables(syllables(w), i, -k) for w in gens]
-        total = sum(syllable_length(s) for s in images)
-        if total > max_total_length:
-            raise WordBlowupError(
-                f"generators reached {total} letters (cap {max_total_length})"
-            )
-        gens = [word_from_syllables(p.rank, s) for s in images]
-        moves.append(move)
-        trace.append(
-            IterationStep(
-                index=i,
-                power=k,
-                loops_before=union_size,
-                loops_after=0,
-                core_vertices=c.num_vertices,
-            )
-        )
-        graph = fold(SubgroupPresentation(p.rank, tuple(gens)))
+        return ElementaryMove(i, -compute_k(c, i))
+
+    moves, trace, gens, graph = _iterate(p, g, next_move, max_total_length)
     psi = Automorphism(p.rank, tuple(moves))
     inv = psi.inverse()
     basis = tuple(
@@ -346,7 +347,8 @@ def transformed_syllables(
 class VerificationReport:
     """Three verdicts, each with its failures: (a) structural: the original
     generators present H, y_i = psi^-1(x_i), the transformed generators
-    present psi(H) with no single-label cycle, and m0 is their power bound;
+    present psi(H) with no single-label cycle, the trace is that of the
+    moves replayed from H, and m0 is the power bound;
     (b) exactly, for all g and all m >= 1, no g H g^-1 contains y_i^m: the
     cyclic reduction of y_i, traced from every vertex of fold(p), gives a
     vertex map without cycles (see verify_certificate).  conjugates_checked
@@ -398,25 +400,30 @@ def _fmt_sub(failures: list[tuple[Word, Syllable]]) -> str:
 
 
 def _structural_failures(
-    p: SubgroupPresentation, cert: BasisCertificate, h: FoldedGraph, transformed: FoldedGraph
+    p: SubgroupPresentation, cert: BasisCertificate, h: FoldedGraph
 ) -> list[str]:
-    """Recompute every certificate field from p, given h = fold(p) and the
-    fold of the transformed generators.  Equal generator tuples present
-    equal subgroups, so a fold is needed only when the words differ."""
+    """Recompute every certificate field from p, given h = fold(p).
+    Replaying the moves from h gives psi(p), its graph and the trace.
+    Equal generator tuples present equal subgroups, so a fold is needed
+    only when the words differ."""
     psi, rank = cert.automorphism, p.rank
+    pending = iter(psi.moves)
+    _, trace, moved, moved_graph = _iterate(
+        p, h, lambda *_: next(pending, None), DEFAULT_LENGTH_CAP
+    )
 
-    def differ(gens: tuple[Word, ...], known: tuple[Word, ...], graph: FoldedGraph) -> bool:
-        return gens != known and fold(SubgroupPresentation(rank, gens)) != graph
+    def graph_of(gens: tuple[Word, ...], known: tuple[Word, ...], graph: FoldedGraph):
+        return graph if gens == known else fold(SubgroupPresentation(rank, gens))
 
+    transformed = graph_of(cert.transformed_generators, tuple(moved), moved_graph)
     inv = psi.inverse()
     checks = [
-        (differ(cert.original_generators, p.generators, h),
+        (graph_of(cert.original_generators, p.generators, h) != h,
          "original generators do not present H"),
         (cert.basis != tuple(inv.apply(Word.generator(rank, i)) for i in range(1, rank + 1)),
          "basis is not psi^-1(x_1), ..., psi^-1(x_n)"),
-        (differ(tuple(psi.apply(w) for w in p.generators), cert.transformed_generators,
-                transformed),
-         "transformed generators do not present psi(H)"),
+        (transformed != moved_graph, "transformed generators do not present psi(H)"),
+        (tuple(trace) != cert.trace, "trace does not match the replayed moves"),
     ]
     failures = [message for failed, message in checks if failed]
     try:
@@ -454,27 +461,17 @@ def verify_certificate(
     rng = rng if rng is not None else random.Random(0)
 
     h = fold(p)
-    transformed = fold(SubgroupPresentation(cert.rank, cert.transformed_generators))
-    structural_failures = _structural_failures(p, cert, h, transformed)
+    structural_failures = _structural_failures(p, cert, h)
 
     conjugate_failures: list[tuple[Word, int, int]] = []
-    checked = 0
     for i, y in enumerate(cert.basis, start=1):
-        if y:
-            checked += h.num_vertices
         hit = conjugate_power(h, y)
         if hit is not None:
             conjugate_failures.append((hit[0], i, hit[1]))
 
     samples: list[Word] = list(p.generators)
-    gens = p.generators
-    if gens:
-        for _ in range(sample_count):
-            w = Word.identity(p.rank)
-            for _ in range(rng.randint(1, 10)):
-                g = gens[rng.randrange(len(gens))]
-                w = w * (g if rng.random() < 0.5 else ~g)
-            samples.append(w)
+    if p.generators:
+        samples += [random_product(rng, p.rank, p.generators, 10) for _ in range(sample_count)]
     subword_failures: list[tuple[Word, Syllable]] = []
     for w in samples:
         for i, e in transformed_syllables(cert, w):
@@ -485,7 +482,7 @@ def verify_certificate(
     return VerificationReport(
         structural_failures=structural_failures,
         conjugate_failures=conjugate_failures,
-        conjugates_checked=checked,
+        conjugates_checked=h.num_vertices * sum(1 for y in cert.basis if y),
         subword_failures=subword_failures,
         samples_checked=len(samples),
     )

@@ -4,7 +4,7 @@ Subcommands: fold, core, find-basis, verify, m0, qm-eval, qm-defect,
 make-relative, check-vanishing, random, export.  All output is
 deterministic given the inputs and --seed.  Exit codes: 0 success,
 1 verification failure, 2 usage/parse error, 3 precondition violation
-(finite index, surviving cycles), 4 length cap exceeded.
+(finite index, surviving cycles), 4 letter cap or memory exceeded.
 """
 
 from __future__ import annotations
@@ -348,6 +348,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_PRECONDITION
     except WordBlowupError as exc:
         _emit_error("WordBlowup", str(exc))
+        return EXIT_CAP
+    except MemoryError:
+        _emit_error("Memory", "memory exceeded")
         return EXIT_CAP
     except WordSyntaxError as exc:
         _emit_error("ParseError", str(exc))

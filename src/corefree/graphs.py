@@ -3,14 +3,15 @@
 A folded graph stores, for each generator label, a partial injection on
 the vertex set (succ_i).  Tracing a reduced word from the basepoint
 decides membership; the core (no valence-1 vertices) carries the
-single-label cycle structure used by the basis algorithm.
+single-label cycle structure used by the basis algorithm.  `orbits`
+splits any such partial injection into its paths and cycles.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .words import (
     Word,
@@ -243,6 +244,52 @@ def fold(p: SubgroupPresentation) -> FoldedGraph:
     return b.finish()
 
 
+# --- orbits of partial injections -------------------------------------------
+
+
+def orbits(f: Mapping[int, int]) -> tuple[list[list[int]], list[list[int]]]:
+    """(paths, cycles) of a partial injection f on integers.
+
+    Each vertex of f's functional graph has at most one outgoing edge (f
+    is a map) and at most one incoming edge (f is injective).  So the walk
+    forward from a vertex either leaves the domain or returns to a vertex
+    already on it, and that vertex can only be the start: any later one
+    already has its single preimage on the walk.  Hence every component is
+    a maximal path, listed from its one vertex without preimage to its one
+    vertex outside the domain, or a cycle, listed from its smallest vertex
+    (a self-loop is a cycle of length 1).  Together they partition the
+    domain and image of f.
+
+    For the x_i-edges of a folded graph, an x_i^e syllable of a reduced
+    path traverses |e| consecutive x_i-edges in one direction, so it walks
+    |e| steps along one orbit.  When no orbit is a cycle, that orbit is a
+    path of at most L edges, L the longest; so 1 + L strictly bounds every
+    syllable exponent of a closed reduced path, i.e. of every element of
+    the subgroup the graph encodes.
+    """
+    image = set(f.values())
+    paths = []
+    for start in f:
+        if start not in image:
+            path, v = [start], start
+            while v in f:
+                v = f[v]
+                path.append(v)
+            paths.append(path)
+    seen = {v for path in paths for v in path}
+    cycles = []
+    for start in sorted(f.keys() - seen):
+        if start in seen:
+            continue
+        cycle, v = [start], f[start]
+        while v != start:
+            cycle.append(v)
+            v = f[v]
+        seen.update(cycle)
+        cycles.append(cycle)
+    return paths, cycles
+
+
 # --- core ------------------------------------------------------------------
 
 
@@ -273,43 +320,13 @@ class CoreGraph(_EdgeMaps):
         return self.num_edges() - self.num_vertices + 1
 
     def loop_set(self, index: int) -> frozenset[int]:
-        """Vertices lying on an x_index-cycle.
-
-        succ_index restricted to the core is a partial injection, so its
-        functional graph splits into disjoint paths and cycles; trimming
-        vertices whose successor chain dies leaves exactly the cycles.
-        """
-        succ = self.succ[index - 1]
-        alive = set(succ)
-        pred = {u: v for v, u in succ.items()}
-        stack = [v for v in alive if succ[v] not in alive]
-        while stack:
-            v = stack.pop()
-            if v not in alive:
-                continue
-            alive.remove(v)
-            w = pred.get(v)
-            if w is not None and w in alive:
-                stack.append(w)
-        return frozenset(alive)
+        """Vertices lying on an x_index-cycle."""
+        return frozenset(v for cycle in self.xi_cycles(index) for v in cycle)
 
     def xi_cycles(self, index: int) -> list[list[int]]:
         """The vertex-disjoint x_index-cycles, each listed from its
         smallest vertex; their union is loop_set(index)."""
-        succ = self.succ[index - 1]
-        remaining = set(self.loop_set(index))
-        cycles = []
-        for start in sorted(remaining):
-            if start not in remaining:
-                continue
-            cycle = [start]
-            v = succ[start]
-            while v != start:
-                cycle.append(v)
-                v = succ[v]
-            remaining.difference_update(cycle)
-            cycles.append(cycle)
-        return cycles
+        return orbits(self.succ[index - 1])[1]
 
     def exit_time(self, index: int, v: int) -> int:
         """Least t >= 1 with the t-th succ iterate of v undefined in the
@@ -317,14 +334,10 @@ class CoreGraph(_EdgeMaps):
         vertex count since an injective orbit cannot revisit."""
         if v not in self.vertices:
             raise ValueError(f"vertex {v} not in core")
-        if v in self.loop_set(index):
+        paths, cycles = orbits(self.succ[index - 1])
+        if any(v in cycle for cycle in cycles):
             raise ValueError(f"vertex {v} lies on an x{index}-cycle")
-        succ = self.succ[index - 1]
-        t = 1
-        while v in succ:
-            v = succ[v]
-            t += 1
-        return t
+        return next((len(path) - path.index(v) for path in paths if v in path), 1)
 
     def as_folded_graph(self) -> FoldedGraph:
         """The core as a standalone graph, renumbered breadth-first from
@@ -348,27 +361,19 @@ def core(g: FoldedGraph) -> CoreGraph:
             valence[v] += 1
             valence[u] += 1
     removed = [False] * g.num_vertices
-    succ = [dict(m) for m in g.succ]
-    pred = [dict(m) for m in g.pred]
+    letters = _letter_order(g.rank)
     queue = deque(v for v in range(g.num_vertices) if valence[v] <= 1)
     while queue:
         v = queue.popleft()
         if removed[v]:
             continue
         removed[v] = True
-        for i in range(g.rank):
-            u = succ[i].pop(v, None)
+        for letter in letters:
+            u = g.step(v, letter)
             if u is not None and not removed[u]:
-                del pred[i][u]
                 valence[u] -= 1
                 if valence[u] <= 1:
                     queue.append(u)
-            w = pred[i].pop(v, None)
-            if w is not None and not removed[w]:
-                del succ[i][w]
-                valence[w] -= 1
-                if valence[w] <= 1:
-                    queue.append(w)
     kept = frozenset(v for v in range(g.num_vertices) if not removed[v])
     attachment = None
     if g.basepoint in kept:
@@ -400,14 +405,6 @@ def _breadth_first(g: _EdgeMaps, start: int) -> Iterator[tuple[int, int, int]]:
                 seen.add(u)
                 queue.append(u)
                 yield v, letter, u
-
-
-def loop_union(c: CoreGraph) -> frozenset[int]:
-    """Union of all single-generator loop sets."""
-    out: set[int] = set()
-    for i in range(1, c.rank + 1):
-        out.update(c.loop_set(i))
-    return frozenset(out)
 
 
 # --- spanning-tree generators ----------------------------------------------
@@ -446,27 +443,19 @@ def conjugate_power(g: FoldedGraph, y: Word) -> Optional[tuple[Word, int]]:
     With y = u w u^-1 and w cyclically reduced, reading w from each vertex
     gives a partial injection f (g is folded).  w^m reads a closed path at
     v, i.e. lies in a conjugate of H (Stallings 1983; Kapovich-Myasnikov
-    2002), exactly when f^m(v) = v.  So m is the shortest cycle length of
-    f, and for its first vertex v, with tree path q, c = u q^-1.
+    2002), exactly when f^m(v) = v.  So m is the length of a shortest
+    cycle of f (of those, the one with the smallest least vertex), and for
+    its least vertex v, with tree path q, c = u q^-1.
     """
     if y.is_identity():
         return Word.identity(g.rank), 1
     w, u = cyclically_reduce(y)
-    f = {v: g.trace(v, w.letters) for v in range(g.num_vertices)}
-    cycles = []  # (length, first vertex); f is injective, so walks close at their start
-    seen: set[int] = set()
-    for v in range(g.num_vertices):
-        length, x = 0, v
-        while f[x] is not None and x not in seen:
-            seen.add(x)
-            x = f[x]
-            length += 1
-        if x == v and length:
-            cycles.append((length, v))
+    f = {v: x for v in range(g.num_vertices) if (x := g.trace(v, w.letters)) is not None}
+    cycles = orbits(f)[1]
     if not cycles:
         return None
-    m, v = min(cycles)
-    return u * ~Word(g.rank, spanning_paths(g)[v]), m
+    cycle = min(cycles, key=lambda c: (len(c), c[0]))
+    return u * ~Word(g.rank, spanning_paths(g)[cycle[0]]), len(cycle)
 
 
 # --- exports -----------------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .basis import BasisCertificate, transformed_syllables
 from .graphs import SubgroupPresentation
-from .words import Word, json_pair, json_value, syllables
+from .words import Word, json_pair, json_value, random_product, syllables
 
 
 class AlternatingFunction:
@@ -295,18 +295,12 @@ def check_vanishing(
     cert = r.certificate
     gens = p.generators if p is not None else cert.original_generators
     failures: list[tuple[Word, Fraction]] = []
-    checked = 0
     for _ in range(samples):
-        w = Word.identity(cert.rank)
-        if gens:
-            for _ in range(rng.randint(1, length)):
-                h = gens[rng.randrange(len(gens))]
-                w = w * (h if rng.random() < 0.5 else ~h)
+        w = random_product(rng, cert.rank, gens, length)
         value = r(w)
-        checked += 1
         if value != 0:
             failures.append((w, value))
-    return VanishingReport(checked, failures)
+    return VanishingReport(max(samples, 0), failures)
 
 
 # --- counting quasimorphisms ------------------------------------------------

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from .graphs import SubgroupPresentation
 from .qm import AlternatingFunction, SplitQuasimorphism
-from .words import Word
+from .words import Word, random_product
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,7 @@ def random_subgroup_element(
 ) -> Word:
     """A product of up to max_factors generators and inverses (possibly
     collapsing to the identity)."""
-    w = Word.identity(p.rank)
-    if not p.generators:
-        return w
-    for _ in range(rng.randint(1, max_factors)):
-        h = p.generators[rng.randrange(len(p.generators))]
-        w = w * (h if rng.random() < 0.5 else ~h)
-    return w
+    return random_product(rng, p.rank, p.generators, max_factors)
 
 
 def random_alternating(

@@ -9,9 +9,10 @@ letters one at a time.
 
 from __future__ import annotations
 
+import random
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 Syllable = tuple[int, int]  # (generator index >= 1, nonzero exponent)
 
@@ -122,6 +123,19 @@ def cyclically_reduce(w: Word) -> tuple[Word, Word]:
         lo += 1
         hi -= 1
     return Word(w.rank, letters[lo:hi]), Word(w.rank, letters[:lo])
+
+
+def random_product(rng: random.Random, rank: int, gens: Sequence[Word], max_factors: int) -> Word:
+    """A product of 1 to max_factors generators and inverses drawn with rng
+    (possibly collapsing to the identity); the identity, with no draws,
+    when gens is empty."""
+    w = Word.identity(rank)
+    if not gens:
+        return w
+    for _ in range(rng.randint(1, max_factors)):
+        h = gens[rng.randrange(len(gens))]
+        w = w * (h if rng.random() < 0.5 else ~h)
+    return w
 
 
 def syllables(w: Word) -> tuple[Syllable, ...]:

@@ -200,15 +200,13 @@ def test_find_basis_blowup_is_measured_before_expanding():
 
 def test_find_basis_transformed_core_has_no_loops():
     rng = random.Random(34)
-    from corefree import loop_union
-
     for _ in range(40):
         p = random_presentation(rng, InstanceSpec(rng.randint(2, 3), rng.randint(1, 4), 8))
         if fold(p).index() is not None:
             continue
         cert = find_power_free_basis(p)
         c = core(fold(SubgroupPresentation(p.rank, cert.transformed_generators)))
-        assert not loop_union(c)
+        assert not any(c.loop_set(i) for i in range(1, p.rank + 1))
         # psi(y_i) = x_i
         for i, y in enumerate(cert.basis, start=1):
             assert cert.automorphism.apply(y) == Word.generator(p.rank, i)
@@ -271,6 +269,42 @@ def test_power_bound_examples():
 def test_power_bound_rejects_cycles():
     with pytest.raises(UnboundedRunError):
         compute_power_bound(fold(pres(2, "x1")))
+
+
+def longest_run(g):
+    """The most consecutive steps along one label's edges from any vertex,
+    or None when some walk returns to its start (a cycle)."""
+    best = 0
+    for i in range(1, g.rank + 1):
+        for v in range(g.num_vertices):
+            u, steps = g.step(v, i), 0
+            while u is not None:
+                steps += 1
+                if u == v:
+                    return None
+                u = g.step(u, i)
+            best = max(best, steps)
+    return best
+
+
+def test_power_bound_matches_longest_run():
+    rng = random.Random(41)
+    cycle_free = 0
+    for _ in range(150):
+        p = random_presentation(rng, InstanceSpec(2, rng.randint(1, 3), 8))
+        graphs = [fold(p)]
+        if graphs[0].index() is None:
+            cert = find_power_free_basis(p)
+            graphs.append(fold(SubgroupPresentation(p.rank, cert.transformed_generators)))
+        for g in graphs:
+            run = longest_run(g)
+            if run is None:
+                with pytest.raises(UnboundedRunError):
+                    compute_power_bound(g)
+            else:
+                cycle_free += 1
+                assert compute_power_bound(g) == run + 1
+    assert cycle_free >= 100
 
 
 def test_power_bound_sound_on_samples():
@@ -371,6 +405,27 @@ def test_verify_checks_original_generators():
     assert report.structural_failures == ["original generators do not present H"]
     with pytest.raises(ValueError):
         verify_certificate(pres(3, "x1"), cert)
+
+
+def test_verify_recomputes_trace():
+    rng = random.Random(42)
+    checked = 0
+    while checked < 15:
+        p = random_presentation(rng, InstanceSpec(2, rng.randint(1, 3), 6))
+        if fold(p).index() is not None:
+            continue
+        cert = find_power_free_basis(p)
+        if not cert.trace:
+            continue
+        checked += 1
+        assert verify_certificate(p, cert, sample_count=0).all_ok
+        forgeries = [(), cert.trace[:-1], cert.trace + cert.trace[-1:]]
+        for field in ("index", "power", "loops_before", "loops_after", "core_vertices"):
+            step = replace(cert.trace[0], **{field: getattr(cert.trace[0], field) + 1})
+            forgeries.append((step,) + cert.trace[1:])
+        for trace in forgeries:
+            report = verify_certificate(p, replace(cert, trace=trace), sample_count=0)
+            assert report.structural_failures == ["trace does not match the replayed moves"]
 
 
 def test_certificate_json_round_trip():

@@ -126,8 +126,11 @@ def test_verify_tampered_certificate(tmp_path, capsys):
         (lambda d: d.update(transformed_generators=[]),
          "transformed generators do not present psi(H)"),
         (lambda d: d.update(m0=d["m0"] + 5), "m0 is 13, the power bound is 8"),
+        (lambda d: d.update(trace=[{"i": 2, "k": 99, "L_before": 7, "L_after": 0,
+                                    "core_vertices": 1}]),
+         "trace does not match the replayed moves"),
     ],
-    ids=["basis", "transformed-generators", "m0"],
+    ids=["basis", "transformed-generators", "m0", "trace"],
 )
 def test_verify_rejects_forged_certificate(tmp_path, capsys, forge, reason):
     cert_file = tmp_path / "cert.json"
@@ -393,6 +396,28 @@ def test_missing_input_is_usage_error(capsys):
     code, _, err = run(capsys, "fold")
     assert code == 2
     assert json.loads(err.strip())["error"] == "Usage"
+
+
+def test_huge_rank_under_memory_limit_exits_4():
+    import resource
+
+    limit = 512 * 2**20  # a rank-10^8 graph needs 1.6 GB for one vertex's slots
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(corefree.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "corefree", "fold", "--gens", "", "--rank", "100000000"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        preexec_fn=cap_address_space,
+    )
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert_json_error(proc.stderr, "Memory")
 
 
 def test_module_entry_point():

@@ -14,7 +14,7 @@ from corefree import (
     generators_from_graph,
     graph_from_json,
     graph_to_json,
-    loop_union,
+    orbits,
     parse_word,
     syllables,
 )
@@ -180,6 +180,44 @@ def test_nielsen_schreier_on_permutation_instances():
         d = g.index()
         assert d == inst.degree
         assert core(g).rank_of_subgroup() == d * (inst.rank - 1) + 1
+
+
+# --- orbits of partial injections ------------------------------------------------
+
+
+def random_partial_injection(rng):
+    """A random injection from part of range(n) into range(n); fixed
+    points (self-loops) are likely, and n = 0 gives the empty map."""
+    n = rng.randint(0, 12)
+    size = rng.randint(0, n)
+    return dict(zip(rng.sample(range(n), size), rng.sample(range(n), size)))
+
+
+def test_orbits_examples():
+    assert orbits({}) == ([], [])
+    assert orbits({3: 3}) == ([], [[3]])
+    assert orbits({1: 2, 2: 5}) == ([[1, 2, 5]], [])
+    assert orbits({4: 2, 2: 7, 7: 4, 0: 1}) == ([[0, 1]], [[2, 7, 4]])
+
+
+def test_orbits_partition_paths_and_cycles():
+    rng = random.Random(17)
+    seen_self_loop = seen_empty = 0
+    for _ in range(500):
+        f = random_partial_injection(rng)
+        paths, cycles = orbits(f)
+        flat = [v for orbit in paths + cycles for v in orbit]
+        assert len(flat) == len(set(flat))
+        assert set(flat) == set(f) | set(f.values())
+        for path in paths:
+            assert path[0] not in f.values() and path[-1] not in f
+            assert all(f[a] == b for a, b in zip(path, path[1:]))
+        for cycle in cycles:
+            assert cycle[0] == min(cycle)
+            assert all(f[a] == b for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+        seen_self_loop += any(len(cycle) == 1 for cycle in cycles)
+        seen_empty += not f
+    assert seen_self_loop >= 50 and seen_empty >= 10
 
 
 # --- loop sets, cycles, exit times ----------------------------------------------
@@ -358,6 +396,8 @@ def test_conjugate_power_examples():
     assert conjugate_power(fold(pres(2, "x1 x2")), w("x2")) is None
     assert conjugate_power(fold(pres(2, "x1 x2")), one) == (one, 1)
     assert conjugate_power(fold(SubgroupPresentation(2, ())), w("x1")) is None
+    # two shortest cycles, at vertices 1 (x2) and 2 (x2^-1): the smaller wins
+    assert conjugate_power(fold(pres(2, "x2 x1 x2^-1", "x2^-1 x1 x2")), w("x1")) == (w("x2^-1"), 1)
 
 
 def test_conjugate_power_agrees_with_sweep():
@@ -395,7 +435,3 @@ def test_conjugate_power_agrees_with_sweep():
                 assert (c, 1, m) in sweep
     assert kinds[0] and kinds[1] >= 40 and kinds[2] >= 40
 
-
-def test_loop_union():
-    c = core(fold(pres(2, "x1", "x2 x1 x2^-1")))
-    assert loop_union(c) == c.loop_set(1) | c.loop_set(2)
