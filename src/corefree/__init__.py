@@ -52,13 +52,10 @@ from .qm import (
     VanishingReport,
     check_vanishing,
     coboundary1,
-    coboundary2,
-    counting_qm,
     defect_z,
     embed_support,
     make_relative_qm,
     nontriviality_witness,
-    sample_defect,
 )
 from .sampling import (
     InstanceSpec,

@@ -379,7 +379,7 @@ class VerificationReport:
 
     def summary_lines(self) -> list[str]:
         return [
-            f"structural (basis, generators, m0, no single-label cycles): "
+            f"structural (basis, generators, trace, m0, no single-label cycles): "
             f"{'PASS' if self.structural_ok else 'FAIL (' + self.structural_failures[0] + ')'}",
             f"conjugate powers ({self.conjugates_checked} checks): "
             f"{'PASS' if self.conjugate_ok else 'FAIL ' + _fmt_conj(self.conjugate_failures)}",

@@ -3,10 +3,11 @@
 Building blocks are finitely supported alternating functions on the
 integers.  A split quasimorphism attaches one to each generator and sums
 factor values over the syllable form of a word; its defect is the
-maximum of the factor defects, and that value is computed exactly by a
-finite window search.  Pulling a split quasimorphism back through the
-basis automorphism, with all supports on multiples of the power bound,
-gives a quasimorphism vanishing on the subgroup.
+maximum of the factor defects, and each factor defect is computed
+exactly from the pairs of its support points (see defect_z).  Pulling a
+split quasimorphism back through the basis automorphism, with all
+supports on multiples of the power bound, gives a quasimorphism
+vanishing on the subgroup.
 """
 
 from __future__ import annotations
@@ -103,39 +104,47 @@ def _pair_key(pair: tuple[int, int]) -> tuple:
     return (abs(m) + abs(n), abs(m), 0 if m > 0 else 1, 0 if n > 0 else 1, m, n)
 
 
-def defect_z(f: AlternatingFunction, window: Optional[int] = None) -> DefectReport:
-    """Exact defect sup |f(m+n) - f(m) - f(n)| with a witness pair.
+def defect_z(f: AlternatingFunction) -> DefectReport:
+    """Exact defect sup |f(m+n) - f(m) - f(n)| with the _pair_key-least
+    witness pair.
 
-    The search window W = 2S+2 (S the support bound) is exhaustive: a
-    nonzero term needs one of m, n, m+n in the support, and every such
-    value pattern is already realised with |m|, |n| <= W.  Only pairs
-    that can contribute are enumerated (all others are exactly zero),
-    and values are scaled to integers over a common denominator.
+    Write c = -(m+n).  Then f(m+n) - f(m) - f(n) = -(f(m) + f(n) + f(c)),
+    so the value is the same, up to sign, for all 12 signed orderings of
+    the zero-sum triple {m, n, c}.  A triple with no support point gives
+    0, and one with a single support point a gives |f(a)|.  Neither
+    reaches the maximum: with v = max |f| > 0 and a the largest point
+    where |f(a)| = v, the triple (a, a, -2a) gives |2f(a) - f(2a)| > v,
+    since 2a is off the support or |f(2a)| < v.  So a maximal triple
+    holds two points x, y of the support or its negative, and every pair
+    attaining the defect is one of the 6 orderings of {x, y, -(x+y)} or
+    of its negative (so |m|, |n| <= 2S for the support bound S).  Up to
+    ordering and sign, x > 0 and |y| <= x.  The loop runs over those
+    pairs of support points only, on integers over a common denominator,
+    and the witness is the _pair_key-least ordering of a maximal triple.
     """
-    S = f.support_bound
-    W = window if window is not None else 2 * S + 2
-    denom = math.lcm(*(q.denominator for _, q in f.items())) if not f.is_zero() else 1
-    scaled: dict[int, int] = {}
-    for m, q in f.items():
-        v = int(q * denom)
-        scaled[m] = v
-        scaled[-m] = -v
-    supp = [s for s in scaled if abs(s) <= W]
-    candidates: set[tuple[int, int]] = set()
-    for s in supp:
-        for t in range(-W, W + 1):
-            candidates.add((s, t))
-            candidates.add((t, s))
-            if -W <= s - t <= W:
-                candidates.add((t, s - t))
-    get = scaled.get
-    best = 0
-    witness = (0, 0)
-    for m, n in sorted(candidates, key=_pair_key):
-        d = abs(get(m + n, 0) - get(m, 0) - get(n, 0))
-        if d > best:
-            best = d
-            witness = (m, n)
+    if f.is_zero():
+        return DefectReport(Fraction(0), (0, 0))
+    denom = math.lcm(*(q.denominator for _, q in f.items()))
+    points = [(m, int(q * denom)) for m, q in f.items()]
+    signed = [p for m, v in points for p in ((m, v), (-m, -v))]
+    get = dict(signed).get
+    best, ties = 0, []
+    for i, (x, fx) in enumerate(points):
+        for y, fy in signed[: 2 * i + 2]:
+            d = abs(fx + fy - get(x + y, 0))
+            if d > best:
+                best, ties = d, [(x, y)]
+            elif d == best:
+                ties.append((x, y))
+    witness = min(
+        (
+            (s * a, s * b)
+            for x, y in ties
+            for a, b in ((x, y), (y, x), (x, -x - y), (-x - y, x), (y, -x - y), (-x - y, y))
+            for s in (1, -1)
+        ),
+        key=_pair_key,
+    )
     return DefectReport(Fraction(best, denom), witness)
 
 
@@ -201,13 +210,6 @@ class SplitQuasimorphism:
 def coboundary1(f: Callable[[Word], Fraction], g: Word, h: Word) -> Fraction:
     """d1 f (g, h) = f(g) + f(h) - f(gh)."""
     return f(g) + f(h) - f(g * h)
-
-
-def coboundary2(
-    c: Callable[[Word, Word], Fraction], g: Word, h: Word, k: Word
-) -> Fraction:
-    """d2 c (g, h, k) = c(h,k) - c(gh,k) + c(g,hk) - c(g,h)."""
-    return c(h, k) - c(g * h, k) + c(g, h * k) - c(g, h)
 
 
 # --- quasimorphisms vanishing on the subgroup ------------------------------
@@ -302,34 +304,3 @@ def check_vanishing(
             failures.append((w, value))
     return VanishingReport(max(samples, 0), failures)
 
-
-# --- counting quasimorphisms ------------------------------------------------
-
-
-def counting_qm(pattern: Word, g: Word) -> int:
-    """Occurrences (with overlaps) of the pattern as a contiguous subword
-    of g, minus occurrences of the inverse pattern."""
-    if pattern.is_identity():
-        raise ValueError("pattern must be nonempty")
-    if pattern.rank != g.rank:
-        raise ValueError("rank mismatch")
-    return _count(pattern.letters, g.letters) - _count((~pattern).letters, g.letters)
-
-
-def _count(pattern: tuple[int, ...], text: tuple[int, ...]) -> int:
-    k = len(pattern)
-    return sum(1 for i in range(len(text) - k + 1) if text[i : i + k] == pattern)
-
-
-def sample_defect(
-    f: Callable[[Word], Fraction],
-    word_sampler: Callable[[], Word],
-    pairs: int,
-) -> Fraction:
-    """Empirical lower bound for the defect: max |d1 f| over sampled pairs."""
-    best = Fraction(0)
-    for _ in range(pairs):
-        g = word_sampler()
-        h = word_sampler()
-        best = max(best, abs(coboundary1(f, g, h)))
-    return best

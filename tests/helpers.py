@@ -7,11 +7,12 @@ other way round.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
-from corefree import FoldedGraph, SubgroupPresentation, Word, free_reduce, syllables
+from corefree import FoldedGraph, SubgroupPresentation, Word, coboundary1, free_reduce, syllables
 from corefree.words import Syllable
 
 
@@ -31,6 +32,20 @@ def dense_defect(f, window=None) -> tuple[Fraction, tuple[int, int]]:
         if d > best:
             best, wit = d, (m, n)
     return best, wit
+
+
+def dense_defect_value(f, window: int) -> Fraction:
+    """max |f(m+n)-f(m)-f(n)| over |m|, |n| <= window, with f tabulated as
+    integers over a common denominator on [-2 window, 2 window]."""
+    denom = math.lcm(*(q.denominator for _, q in f.items()))
+    span = 2 * window
+    table = [int(f(k) * denom) for k in range(-span, span + 1)]
+    best = 0
+    ns = range(-window, window + 1)
+    for m in ns:
+        fm = table[m + span]
+        best = max(best, max(abs(table[m + n + span] - fm - table[n + span]) for n in ns))
+    return Fraction(best, denom)
 
 
 def apply_move_letters(w: Word, move) -> Word:
@@ -290,3 +305,43 @@ def conjugate_power_sweep(
                 if s == state:
                     hits.append((g_word, i, m))
     return hits
+
+
+# --- quasimorphism oracles ------------------------------------------------------
+
+
+def counting_qm(pattern: Word, g: Word) -> int:
+    """Brooks counting quasimorphism: occurrences (with overlaps) of the
+    pattern as a contiguous subword of g, minus occurrences of the inverse
+    pattern."""
+    if pattern.is_identity():
+        raise ValueError("pattern must be nonempty")
+    if pattern.rank != g.rank:
+        raise ValueError("rank mismatch")
+    return _count(pattern.letters, g.letters) - _count((~pattern).letters, g.letters)
+
+
+def _count(pattern: tuple[int, ...], text: tuple[int, ...]) -> int:
+    k = len(pattern)
+    return sum(1 for i in range(len(text) - k + 1) if text[i : i + k] == pattern)
+
+
+def coboundary2(
+    c: Callable[[Word, Word], Fraction], g: Word, h: Word, k: Word
+) -> Fraction:
+    """d2 c (g, h, k) = c(h,k) - c(gh,k) + c(g,hk) - c(g,h)."""
+    return c(h, k) - c(g * h, k) + c(g, h * k) - c(g, h)
+
+
+def sample_defect(
+    f: Callable[[Word], Fraction],
+    word_sampler: Callable[[], Word],
+    pairs: int,
+) -> Fraction:
+    """Empirical lower bound for the defect: max |d1 f| over sampled pairs."""
+    best = Fraction(0)
+    for _ in range(pairs):
+        g = word_sampler()
+        h = word_sampler()
+        best = max(best, abs(coboundary1(f, g, h)))
+    return best

@@ -20,9 +20,7 @@ from corefree import (
     SubgroupPresentation,
     Word,
     coboundary1,
-    coboundary2,
     core,
-    counting_qm,
     defect_z,
     embed_support,
     find_power_free_basis,
@@ -42,7 +40,13 @@ from corefree.sampling import (
     random_subgroup_element,
 )
 
-from helpers import PermutationInstance, conjugate_power_sweep, subgroup_products
+from helpers import (
+    PermutationInstance,
+    coboundary2,
+    conjugate_power_sweep,
+    counting_qm,
+    subgroup_products,
+)
 
 MASTER_SEED = 20260810
 N_DRAWS = 200

@@ -11,15 +11,12 @@ from corefree import (
     Word,
     check_vanishing,
     coboundary1,
-    coboundary2,
-    counting_qm,
     defect_z,
     embed_support,
     find_power_free_basis,
     make_relative_qm,
     nontriviality_witness,
     parse_word,
-    sample_defect,
 )
 from corefree.sampling import (
     random_alternating,
@@ -27,7 +24,7 @@ from corefree.sampling import (
     random_split_qm,
 )
 
-from helpers import dense_defect
+from helpers import coboundary2, counting_qm, dense_defect, dense_defect_value, sample_defect
 
 
 def pres(rank, *texts):
@@ -90,11 +87,37 @@ def test_defect_z_matches_dense_oracle():
 
 
 def test_defect_z_window_stability():
+    # no pair outside the doubled window 2(2S+2) beats defect_z
     rng = random.Random(53)
     for _ in range(1000):
         f = random_alternating(rng, max_support=8)
         W = 2 * f.support_bound + 2
-        assert defect_z(f).value == defect_z(f, window=2 * W).value
+        assert defect_z(f).value == dense_defect_value(f, window=2 * W)
+
+
+def _workload_factor(rng: random.Random) -> AlternatingFunction:
+    """k = 1..16 support points, the largest at S = k..16, values p/q with
+    0 < |p| <= 8 and q <= 4."""
+    k = rng.randint(1, 16)
+    top = rng.randint(k, 16)
+    points = rng.sample(range(1, top), k - 1) + [top]
+    value = lambda: Fraction(rng.choice([n for n in range(-8, 9) if n]), rng.randint(1, 4))
+    return AlternatingFunction({m: value() for m in points})
+
+
+def test_defect_z_agrees_with_dense_scans_on_workload_shapes():
+    rng = random.Random(68)
+    witnesses_checked = 0
+    for _ in range(60):
+        f = _workload_factor(rng)
+        for m in (1, 2, 3, 5):
+            g = embed_support(f, m)
+            rep = defect_z(g)
+            assert rep.value == dense_defect_value(g, window=2 * g.support_bound + 2)
+            if g.support_bound <= 16:
+                assert (rep.value, rep.witness) == dense_defect(g)
+                witnesses_checked += 1
+    assert witnesses_checked >= 60
 
 
 # --- split quasimorphisms ----------------------------------------------------------
@@ -195,6 +218,18 @@ def test_embed_support_isometry_random():
         f = random_alternating(rng, max_support=5)
         for m in (1, 2, 3, 5):
             assert defect_z(embed_support(f, m)).value == defect_z(f).value
+
+
+def test_embed_support_scales_the_witness():
+    # _pair_key is preserved by positive scaling, so the least witness scales
+    rng = random.Random(69)
+    for _ in range(750):
+        f = random_alternating(rng, max_support=rng.randint(1, 12))
+        rep = defect_z(f)
+        for m in (2, 3, 5, 7):
+            emb = defect_z(embed_support(f, m))
+            assert emb.value == rep.value
+            assert emb.witness == (m * rep.witness[0], m * rep.witness[1])
 
 
 # --- relative quasimorphisms ---------------------------------------------------------
