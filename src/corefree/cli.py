@@ -274,11 +274,10 @@ def _cmd_qm_eval(args) -> int:
 
 def _cmd_qm_defect(args) -> int:
     q = SplitQuasimorphism.from_json(_load_json(args.factors))
-    reports = [defect_z(f) for f in q.factors]
-    for i, rep in enumerate(reports, start=1):
+    for i, f in enumerate(q.factors, start=1):
+        rep = defect_z(f)
         print(f"factor {i}: defect {rep.value} witness {rep.witness}")
-    # the split defect is the largest factor defect (SplitQuasimorphism.defect)
-    print(f"defect: {max((rep.value for rep in reports), default=0)}")
+    print(f"defect: {q.defect()}")
     return EXIT_OK
 
 

@@ -3,11 +3,10 @@
 Building blocks are finitely supported alternating functions on the
 integers.  A split quasimorphism attaches one to each generator and sums
 factor values over the syllable form of a word; its defect is the
-maximum of the factor defects, and each factor defect is computed
-exactly from the pairs of its support points (see defect_z).  Pulling a
-split quasimorphism back through the basis automorphism, with all
-supports on multiples of the power bound, gives a quasimorphism
-vanishing on the subgroup.
+maximum of the factor defects, and that value is computed exactly by a
+finite window search.  Pulling a split quasimorphism back through the
+basis automorphism, with all supports on multiples of the power bound,
+gives a quasimorphism vanishing on the subgroup.
 """
 
 from __future__ import annotations
@@ -108,44 +107,37 @@ def defect_z(f: AlternatingFunction) -> DefectReport:
     """Exact defect sup |f(m+n) - f(m) - f(n)| with the _pair_key-least
     witness pair.
 
-    Write c = -(m+n).  Then f(m+n) - f(m) - f(n) = -(f(m) + f(n) + f(c)),
-    so the value is the same, up to sign, for all 12 signed orderings of
-    the zero-sum triple {m, n, c}.  A triple with no support point gives
-    0, and one with a single support point a gives |f(a)|.  Neither
-    reaches the maximum: with v = max |f| > 0 and a the largest point
-    where |f(a)| = v, the triple (a, a, -2a) gives |2f(a) - f(2a)| > v,
-    since 2a is off the support or |f(2a)| < v.  So a maximal triple
-    holds two points x, y of the support or its negative, and every pair
-    attaining the defect is one of the 6 orderings of {x, y, -(x+y)} or
-    of its negative (so |m|, |n| <= 2S for the support bound S).  Up to
-    ordering and sign, x > 0 and |y| <= x.  The loop runs over those
-    pairs of support points only, on integers over a common denominator,
-    and the witness is the _pair_key-least ordering of a maximal triple.
+    The search window W = 2S+2 (S the support bound) is exhaustive: a
+    nonzero term needs one of m, n, m+n in the support, and every such
+    value pattern is already realised with |m|, |n| <= W.  Only pairs
+    that can contribute are enumerated (all others are exactly zero),
+    and values are scaled to integers over a common denominator.  One
+    pass keeps the maximum with the pairs that attain it, and the
+    witness is the least of those.
     """
-    if f.is_zero():
-        return DefectReport(Fraction(0), (0, 0))
-    denom = math.lcm(*(q.denominator for _, q in f.items()))
-    points = [(m, int(q * denom)) for m, q in f.items()]
-    signed = [p for m, v in points for p in ((m, v), (-m, -v))]
-    get = dict(signed).get
-    best, ties = 0, []
-    for i, (x, fx) in enumerate(points):
-        for y, fy in signed[: 2 * i + 2]:
-            d = abs(fx + fy - get(x + y, 0))
-            if d > best:
-                best, ties = d, [(x, y)]
-            elif d == best:
-                ties.append((x, y))
-    witness = min(
-        (
-            (s * a, s * b)
-            for x, y in ties
-            for a, b in ((x, y), (y, x), (x, -x - y), (-x - y, x), (y, -x - y), (-x - y, y))
-            for s in (1, -1)
-        ),
-        key=_pair_key,
-    )
-    return DefectReport(Fraction(best, denom), witness)
+    W = 2 * f.support_bound + 2
+    denom = math.lcm(*(q.denominator for _, q in f.items())) if not f.is_zero() else 1
+    scaled: dict[int, int] = {}
+    for m, q in f.items():
+        v = int(q * denom)
+        scaled[m] = v
+        scaled[-m] = -v
+    candidates: set[tuple[int, int]] = set()
+    for s in scaled:
+        for t in range(-W, W + 1):
+            candidates.add((s, t))
+            candidates.add((t, s))
+            if -W <= s - t <= W:
+                candidates.add((t, s - t))
+    get = scaled.get
+    best, ties = 0, [(0, 0)]
+    for m, n in candidates:
+        d = abs(get(m + n, 0) - get(m, 0) - get(n, 0))
+        if d > best:
+            best, ties = d, [(m, n)]
+        elif d == best:
+            ties.append((m, n))
+    return DefectReport(Fraction(best, denom), min(ties, key=_pair_key))
 
 
 def factors_from_json(data: dict) -> list[AlternatingFunction]:

@@ -17,35 +17,27 @@ from corefree.words import Syllable
 
 
 def dense_defect(f, window=None) -> tuple[Fraction, tuple[int, int]]:
-    """Full window scan of |f(m+n)-f(m)-f(n)| in canonical pair order."""
-    S = f.support_bound
-    W = window if window is not None else 2 * S + 2
+    """Full scan of |f(m+n)-f(m)-f(n)| over |m|, |n| <= window (default
+    2S+2), with f tabulated as integers over a common denominator on
+    [-2 window, 2 window].  The witness is the least pair in canonical
+    order among those attaining the maximum."""
+    W = window if window is not None else 2 * f.support_bound + 2
+    denom = math.lcm(*(q.denominator for _, q in f.items()))
+    table = [int(f(k) * denom) for k in range(-2 * W, 2 * W + 1)]
 
     def key(p):
         m, n = p
         return (abs(m) + abs(n), abs(m), 0 if m > 0 else 1, 0 if n > 0 else 1, m, n)
 
-    best, wit = Fraction(0), (0, 0)
-    pairs = ((m, n) for m in range(-W, W + 1) for n in range(-W, W + 1))
-    for m, n in sorted(pairs, key=key):
-        d = abs(f(m + n) - f(m) - f(n))
-        if d > best:
-            best, wit = d, (m, n)
-    return best, wit
-
-
-def dense_defect_value(f, window: int) -> Fraction:
-    """max |f(m+n)-f(m)-f(n)| over |m|, |n| <= window, with f tabulated as
-    integers over a common denominator on [-2 window, 2 window]."""
-    denom = math.lcm(*(q.denominator for _, q in f.items()))
-    span = 2 * window
-    table = [int(f(k) * denom) for k in range(-span, span + 1)]
-    best = 0
-    ns = range(-window, window + 1)
+    best, wit = 0, (0, 0)
+    ns = range(-W, W + 1)
     for m in ns:
-        fm = table[m + span]
-        best = max(best, max(abs(table[m + n + span] - fm - table[n + span]) for n in ns))
-    return Fraction(best, denom)
+        fm = table[m + 2 * W]
+        for n in ns:
+            d = abs(table[m + n + 2 * W] - fm - table[n + 2 * W])
+            if d > best or (d == best and key((m, n)) < key(wit)):
+                best, wit = d, (m, n)
+    return Fraction(best, denom), wit
 
 
 def apply_move_letters(w: Word, move) -> Word:
